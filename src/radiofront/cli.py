@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: anchor, order, entropy, metrics, synth, selftest.  Every run is
-deterministic given identical inputs and --seed; grid/order/trace writers
-replace files atomically.  Option precedence is CLI flag > config file >
-built-in default, where the config file is flat ``key=value`` text given by
---config or the RADIOFRONT_CONFIG environment variable.
+deterministic given identical inputs and --seed; every writer except the
+``x,y,z,value`` grid export replaces files atomically.  Option precedence is
+CLI flag > config file > built-in default, where the config file is flat
+``key=value`` text (the scene-manifest syntax) given by --config or the
+RADIOFRONT_CONFIG environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from .grids import (
     Scene,
     TxConfig,
     UNIT_DB,
+    ValidationError,
+    atomic_write,
     denormalize_db,
     grid_from_csv,
     grid_to_csv,
@@ -66,26 +69,23 @@ GEOMETRIC_ORDERS = {
 }
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def _load_config(path: str | None) -> dict:
-    config_path = path or os.environ.get(CONFIG_ENV)
-    if not config_path:
-        return {}
+def _read_key_values(path: str) -> dict:
+    """Flat ``key=value`` text; blank and '#' lines skipped, '-' in keys read as '_'."""
     out = {}
-    for line in Path(config_path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"config line without '=': {line!r}")
+            raise ValidationError(f"{path}: line {n} has no '=': {line!r}")
         out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _load_config(path: str | None) -> dict:
+    config_path = path or os.environ.get(CONFIG_ENV)
+    return _read_key_values(config_path) if config_path else {}
 
 
 def _load_any_grid(path: str, csv_unit: str = UNIT_DB):
@@ -94,19 +94,8 @@ def _load_any_grid(path: str, csv_unit: str = UNIT_DB):
     return load_grid(path)
 
 
-def _read_manifest(path: str) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _scene_from_args(args) -> Scene:
-    manifest = _read_manifest(args.manifest) if getattr(args, "manifest", None) else {}
+    manifest = _read_key_values(args.manifest) if getattr(args, "manifest", None) else {}
 
     def pick(flag_value, key, default, cast=float):
         if flag_value is not None:
@@ -194,14 +183,12 @@ def cmd_order(args) -> int:
         raise ValueError(f"unknown order kind {args.kind!r}")
 
     save_order(order, args.out)
+    if costs is None and (args.cost_csv or args.verify):
+        _, costs = wavefront_order(scene, patches, params)
     if args.cost_csv:
-        if costs is None:
-            _, costs = wavefront_order(scene, patches, params)
         save_costs_csv(costs, args.cost_csv)
     status = 0
     if args.verify:
-        if costs is None:
-            _, costs = wavefront_order(scene, patches, params)
         report = verify_predecessor_containment(order, costs)
         print(f"containment: holds={report.holds} violations={len(report.violations)}")
         if patches.n_patches <= 1024:
@@ -230,7 +217,7 @@ def cmd_entropy(args) -> int:
         lines = ["step,mean,std"]
         for n, (m, s) in enumerate(zip(prof.mean, prof.std)):
             lines.append(f"{n},{float(m)!r},{float(s)!r}")
-        _atomic_write_text(Path(args.profile_csv), "\n".join(lines) + "\n")
+        atomic_write(args.profile_csv, "\n".join(lines) + "\n")
     print(f"entropy: H_bar = {prof.overall_mean:.4f} {unit} over {len(traces)} trace(s)")
     if args.trace_b:
         if not (args.order and args.order_b):
@@ -268,31 +255,25 @@ def cmd_metrics(args) -> int:
         "grad_total": grad.total,
     }
     header = ",".join(values)
-    row = ",".join("inf" if math.isinf(v) else repr(float(v)) for v in values.values())
-    _atomic_write_text(Path(args.report), header + "\n" + row + "\n")
+    row = ",".join(repr(float(v)) for v in values.values())
+    atomic_write(args.report, header + "\n" + row + "\n")
     if args.per_slice:
         lines = ["slice,nmse,rmse_db,psnr"]
         for k in range(pred01.n_z):
-            p_k = RadioField(pred01.values[k][np.newaxis], pred01.unit)
-            g_k = RadioField(gt01.values[k][np.newaxis], gt01.unit)
-            pdb_k = RadioField(pred_db.values[k][np.newaxis], UNIT_DB)
-            gdb_k = RadioField(gt_db.values[k][np.newaxis], UNIT_DB)
-            k_psnr = psnr(p_k, g_k)
-            lines.append(
-                f"{k},{nmse(p_k, g_k)!r},{rmse_db(pdb_k, gdb_k)!r},"
-                f"{'inf' if math.isinf(k_psnr) else repr(k_psnr)}"
-            )
-        _atomic_write_text(Path(args.per_slice), "\n".join(lines) + "\n")
+            p_k, g_k = pred01.values[k: k + 1], gt01.values[k: k + 1]
+            rmse_k = rmse_db(pred_db.values[k: k + 1], gt_db.values[k: k + 1])
+            lines.append(f"{k},{nmse(p_k, g_k)!r},{rmse_k!r},{psnr(p_k, g_k)!r}")
+        atomic_write(args.per_slice, "\n".join(lines) + "\n")
     print("metrics: " + " ".join(f"{k}={v:.4g}" for k, v in values.items()))
     return 0
 
 
 def _synth_one(args, seed: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    rx = RxConfig(z_rx=args.z_rx or 1.5, n_z=args.n_z or 1, dz=args.dz or 1.0)
+    rx = RxConfig(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz)
     if args.preset:
         scene = PRESETS[args.preset](seed=seed, side_px=args.side_px, resolution=args.resolution)
-        scene = Scene(scene.heightmap, scene.tx, rx)
+        scene = Scene(scene.heightmap, replace(scene.tx, f=args.freq), rx)
     else:
         h_lo, h_hi = (float(v) for v in args.height_range.split(","))
         f_lo, f_hi = (int(v) for v in args.footprint_range.split(","))
@@ -304,7 +285,7 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
             footprint_range=(f_lo, f_hi),
             seed=seed,
         )
-        scene = gen_scene(params, rx=rx, f=args.freq or 5.9e9)
+        scene = gen_scene(params, rx=rx, f=args.freq)
     clamp = PATHLOSS_RANGES[args.clamp_profile] if args.clamp_profile else None
     fld = gen_field(
         scene,
@@ -335,7 +316,7 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
         f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
         for k, v in manifest.items()
     )
-    _atomic_write_text(out_dir / "scene.txt", text + "\n")
+    atomic_write(out_dir / "scene.txt", text + "\n")
 
 
 def cmd_synth(args) -> int:
@@ -360,8 +341,6 @@ def cmd_synth(args) -> int:
 
 
 def _suite_ordering(rng) -> None:
-    from .grids import HeightMap
-
     for _ in range(5):
         heights = (rng.random((32, 32)) < 0.25) * rng.uniform(5, 30, (32, 32))
         scene = Scene(
@@ -373,6 +352,8 @@ def _suite_ordering(rng) -> None:
         bf = bruteforce_costs(scene, patches)
         if np.max(np.abs(bf.d - costs.d) / (1.0 + costs.d)) > 1e-12:
             raise AssertionError("dijkstra and bellman-ford costs disagree")
+        if not np.array_equal(bf.pred, costs.pred):
+            raise AssertionError("dijkstra and bellman-ford predecessors disagree")
         if not verify_predecessor_containment(order, costs).holds:
             raise AssertionError("wavefront order lost predecessor containment")
 

@@ -19,11 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError
+from .grids import GridFormatError, ValidationError, atomic_write
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
 LN2 = float(np.log(2.0))
+
+
+def shannon_entropy(p) -> float:
+    """-sum(p log p) over the cells of a probability array; zero cells add 0."""
+    p = np.asarray(p).ravel()
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
 
 
 def step_entropy(logits, base2: bool = False) -> float:
@@ -158,9 +165,7 @@ class JointDist:
         return self.probs.shape[0]
 
     def entropy(self) -> float:
-        p = self.probs.ravel()
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
+        return shannon_entropy(self.probs)
 
     def marginal(self, axes: tuple[int, ...]) -> np.ndarray:
         """Marginal over the given variables, in the given axis order."""
@@ -170,8 +175,9 @@ class JointDist:
         return np.transpose(m, [kept.index(a) for a in axes])
 
 
-def _cond_entropy(m1: np.ndarray, m0: np.ndarray) -> float:
-    """H(last axis of m1 | other axes), with m0 = m1 marginalized over it."""
+def _cond_entropy(m1: np.ndarray) -> float:
+    """H(last axis of m1 | other axes) of a joint marginal table m1."""
+    m0 = np.asarray(m1.sum(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = m1 / m0[..., np.newaxis]
         terms = np.where(m1 > 0, m1 * np.log(ratio), 0.0)
@@ -188,9 +194,7 @@ def exact_conditional_entropies(joint: JointDist, order) -> np.ndarray:
         raise ValidationError("order is not a permutation of the variables")
     out = np.empty(len(order))
     for n in range(len(order)):
-        m1 = joint.marginal(tuple(order[: n + 1]))
-        m0 = m1.sum(axis=-1)
-        out[n] = _cond_entropy(m1, np.asarray(m0))
+        out[n] = _cond_entropy(joint.marginal(tuple(order[: n + 1])))
     return out
 
 
@@ -210,9 +214,7 @@ def limited_context_entropy(joint: JointDist, order, k: int) -> float:
     total = 0.0
     for n in range(len(order)):
         ctx = tuple(order[max(0, n - k): n])
-        m1 = joint.marginal(ctx + (order[n],))
-        m0 = m1.sum(axis=-1)
-        total += _cond_entropy(m1, np.asarray(m0))
+        total += _cond_entropy(joint.marginal(ctx + (order[n],)))
     return total / len(order)
 
 
@@ -246,10 +248,7 @@ def build_shadow_joint(costs: CostField, eps: float = 0.1) -> JointDist:
 def save_trace(trace: LogitTrace, path: str | Path) -> None:
     """Write logits as LTR1; the order travels in its own order file."""
     header = LTR_MAGIC + struct.pack("<II", trace.n_steps, trace.vocab)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + trace.logits.astype("<f4").tobytes())
-    tmp.replace(path)
+    atomic_write(path, header + trace.logits.astype("<f4").tobytes())
 
 
 def load_trace(path: str | Path, order: OrderPi | None = None) -> LogitTrace:

@@ -231,6 +231,14 @@ def denormalize_db(
     return RadioField(v, UNIT_DB, fld.resolution)
 
 
+def atomic_write(path: str | Path, data: bytes | str) -> None:
+    """Write data to a sibling temp file, then rename it over path."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    tmp.replace(path)
+
+
 def save_grid(grid: HeightMap | RadioField, path: str | Path) -> None:
     """Write a grid in RGF1 format; load_grid inverts it bit-exactly."""
     if isinstance(grid, HeightMap):
@@ -245,11 +253,7 @@ def save_grid(grid: HeightMap | RadioField, path: str | Path) -> None:
     header = MAGIC + struct.pack(
         "<BIIIf", tag, width, height, depth, float(grid.resolution)
     )
-    payload = values.astype("<f4").tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + payload)
-    tmp.replace(path)
+    atomic_write(path, header + values.astype("<f4").tobytes())
 
 
 def load_grid(path: str | Path) -> HeightMap | RadioField:
@@ -291,10 +295,17 @@ def grid_from_csv(
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["x", "y", "z", "value"]:
             raise GridFormatError(f"{path}: expected CSV header 'x,y,z,value'")
-        rows = [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader]
+        try:
+            rows = [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader]
+        except (IndexError, ValueError):
+            raise GridFormatError(
+                f"{path}: line {reader.line_num}: expected integer x,y,z and a numeric value"
+            ) from None
     if not rows:
         raise GridFormatError(f"{path}: no data rows")
     xs, ys, zs, vals = zip(*rows)
+    if min(min(xs), min(ys), min(zs)) < 0:
+        raise GridFormatError(f"{path}: negative cell index")
     width, height, depth = max(xs) + 1, max(ys) + 1, max(zs) + 1
     if len(rows) != width * height * depth:
         raise GridFormatError(

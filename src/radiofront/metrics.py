@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from .entropy import shannon_entropy
 from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, normalize_db
 
 
@@ -242,11 +243,6 @@ def _normalize_hist(h, name: str) -> np.ndarray:
     return h / total
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def _gini(p: np.ndarray) -> float:
     x = np.sort(p)
     n = len(x)
@@ -286,8 +282,8 @@ def hist_stats(h_a, h_b) -> HistStats:
     else:
         rho = float(np.corrcoef(p, q)[0, 1])
     return HistStats(
-        norm_entropy_a=_entropy(p) / log_bins,
-        norm_entropy_b=_entropy(q) / log_bins,
+        norm_entropy_a=shannon_entropy(p) / log_bins,
+        norm_entropy_b=shannon_entropy(q) / log_bins,
         gini_a=_gini(p),
         gini_b=_gini(q),
         d_js=jensen_shannon(p, q),

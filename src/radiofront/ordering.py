@@ -7,6 +7,12 @@ patches reach lower costs through detours.  Sorting the final costs (ties
 broken by ascending patch index) yields a permutation whose prefix always
 contains each patch's entire lowest-cost predecessor chain.
 
+Predecessor rule, shared by the Dijkstra solver and the Bellman-Ford oracle:
+a patch whose relaxed cost beats its direct-path cost points at the tight
+neighbour s (d[s] + w(s, i) == d[i]) with the smallest (d[s], s), which is
+the neighbour a (cost, index) heap settles first; every other patch keeps
+its direct-path predecessor, the source.
+
 Also provided: the geometric scan orders (raster, hilbert, z-curve,
 subsample, serpentine), pathloss-ranked orders, a Bellman-Ford oracle, and
 the predecessor-containment verifier.
@@ -21,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import RadioField, Scene, ValidationError
+from .grids import RadioField, Scene, ValidationError, atomic_write
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -126,7 +132,11 @@ class OrderParams:
 
 @dataclass(frozen=True)
 class CostField:
-    """Relaxed cost and predecessor pointer per patch."""
+    """Relaxed cost and predecessor pointer per patch.
+
+    A detour-improved patch points at its tight neighbour with the smallest
+    (d, index); every other patch at the source, which has NO_PRED.
+    """
 
     d: np.ndarray  # (N,) accumulated cost
     pred: np.ndarray  # (N,) predecessor index, NO_PRED for the source
@@ -238,18 +248,14 @@ def edge_weights(
     return src, dst, dist / clear**params.alpha_nlos
 
 
-def _relax_dijkstra(
-    d0: np.ndarray, pred0: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _relax_dijkstra(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     n = len(d0)
-    # CSR adjacency over the directed doubling of the undirected edge list
-    s = np.concatenate([src, dst])
+    # CSR adjacency over the directed edges
     order = np.argsort(s, kind="stable")
-    nbr = np.concatenate([dst, src])[order].tolist()
-    wgt = np.concatenate([w, w])[order].tolist()
+    nbr = t[order].tolist()
+    wgt = w[order].tolist()
     starts = np.searchsorted(s[order], np.arange(n + 1)).tolist()
     d = d0.tolist()
-    pred = pred0.tolist()
     heap = [(di, i) for i, di in enumerate(d)]
     heapq.heapify(heap)
     settled = [False] * n
@@ -263,9 +269,39 @@ def _relax_dijkstra(
             nd = di + wgt[e]
             if nd < d[j]:
                 d[j] = nd
-                pred[j] = i
                 heapq.heappush(heap, (nd, j))
-    return np.array(d), np.array(pred, dtype=np.int64)
+    return np.array(d)
+
+
+def _relax_bellman_ford(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    d = d0.copy()
+    for _ in range(len(d0)):
+        candidate = d.copy()
+        np.minimum.at(candidate, t, d[s] + w)
+        if np.array_equal(candidate, d):
+            break
+        d = candidate
+    return d
+
+
+def _tight_predecessors(d, initial: CostField, s, t, w) -> np.ndarray:
+    """Predecessors of the converged costs d under the module's predecessor rule."""
+    pred = initial.pred.copy()
+    e = np.flatnonzero((d[s] + w == d[t]) & (d[t] < initial.d[t]))
+    e = e[np.lexsort((s[e], d[s[e]], t[e]))]  # by target, then (d[s], s)
+    first = e[np.unique(t[e], return_index=True)[1]]
+    pred[t[first]] = s[first]
+    return pred
+
+
+def _solve(scene: Scene, patches: PatchGrid, params: OrderParams, relax) -> CostField:
+    initial = init_costs(scene, patches, params)
+    src, dst, w = edge_weights(scene, patches, params)
+    # every undirected edge in both directions: sources s, targets t
+    s, t, w = np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([w, w])
+    d = relax(initial.d, s, t, w)
+    d, pred = _snap_to_direct(d, _tight_predecessors(d, initial, s, t, w), initial)
+    return CostField(d, pred, initial.source)
 
 
 def wavefront_order(
@@ -279,14 +315,9 @@ def wavefront_order(
     field and its predecessor pointers.
     """
     params = params or OrderParams()
-    initial = init_costs(scene, patches, params)
-    src, dst, w = edge_weights(scene, patches, params)
-    d, pred = _relax_dijkstra(initial.d, initial.pred, src, dst, w)
-    d, pred = _snap_to_direct(d, pred, initial)
-    costs = CostField(d, pred, initial.source)
-    perm = _argsort_by_cost(d)
+    costs = _solve(scene, patches, params, _relax_dijkstra)
     order = OrderPi(
-        perm,
+        _argsort_by_cost(costs.d),
         "wavefront",
         {
             "alpha_los": params.alpha_los,
@@ -301,28 +332,7 @@ def bruteforce_costs(
     scene: Scene, patches: PatchGrid, params: OrderParams | None = None
 ) -> CostField:
     """Bellman-Ford relaxation over the same graph; oracle for wavefront_order."""
-    params = params or OrderParams()
-    initial = init_costs(scene, patches, params)
-    src, dst, w = edge_weights(scene, patches, params)
-    s = np.concatenate([src, dst])
-    t = np.concatenate([dst, src])
-    ww = np.concatenate([w, w])
-    d = initial.d.copy()
-    for _ in range(patches.n_patches):
-        candidate = d.copy()
-        np.minimum.at(candidate, t, d[s] + ww)
-        if np.array_equal(candidate, d):
-            break
-        d = candidate
-    # recover predecessors from the converged costs
-    pred = initial.pred.copy()
-    relaxed = d[t] == d[s] + ww
-    improved = d < initial.d
-    for i in np.flatnonzero(improved):
-        srcs = s[relaxed & (t == i)]
-        pred[i] = int(srcs.min())
-    d, pred = _snap_to_direct(d, pred, initial)
-    return CostField(d, pred, initial.source)
+    return _solve(scene, patches, params or OrderParams(), _relax_bellman_ford)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +504,19 @@ def save_order(order: OrderPi, path: str | Path) -> None:
         "perm": [int(i) for i in order.perm],
         "params": order.params,
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=None, separators=(",", ":")))
-    tmp.replace(path)
+    atomic_write(path, json.dumps(doc, indent=None, separators=(",", ":")))
 
 
 def load_order(path: str | Path) -> OrderPi:
-    doc = json.loads(Path(path).read_text())
-    order = OrderPi(np.array(doc["perm"], dtype=np.int64), doc["kind"], doc.get("params", {}))
-    if order.n_side != doc["np"]:
-        raise ValidationError(f"{path}: perm length does not match np={doc['np']}")
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not (isinstance(doc, dict) and {"kind", "np", "perm"} <= doc.keys()):
+            raise ValidationError("expected a JSON object with kind, np and perm")
+        order = OrderPi(np.array(doc["perm"], dtype=np.int64), doc["kind"], doc.get("params", {}))
+        if order.n_side != doc["np"]:
+            raise ValidationError(f"perm length does not match np={doc['np']}")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return order
 
 
@@ -513,4 +525,4 @@ def save_costs_csv(costs: CostField, path: str | Path) -> None:
     lines = ["patch_index,D,pred"]
     for i, (d, p) in enumerate(zip(costs.d, costs.pred)):
         lines.append(f"{i},{float(d)!r},{int(p)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

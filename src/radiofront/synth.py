@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB
-from .propagation import anchor_map
+from .propagation import anchor_volume
 
 # pathloss range (top, bottom) and building height envelopes per dataset
 PATHLOSS_RANGES = {
@@ -130,8 +130,7 @@ def gen_field(
     """
     rng = np.random.default_rng(seed)
     slices = []
-    for z in scene.rx.slice_heights():
-        v = anchor_map(scene, z=z).slice(0)
+    for v in anchor_volume(scene).values:
         if smooth_sigma > 0:
             v = gaussian_filter(v, sigma=smooth_sigma, mode="nearest")
         if noise_sigma > 0:

@@ -86,6 +86,7 @@ def test_criterion_1_ordering_oracle_equivalence():
         gap = np.max(np.abs(oracle.d - costs.d) / (1.0 + costs.d))
         worst = max(worst, float(gap))
         assert gap <= 1e-12
+        assert np.array_equal(oracle.pred, costs.pred)
         assert np.array_equal(order.perm, np.argsort(oracle.d, kind="stable"))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -260,6 +260,56 @@ class TestSynthCommand:
         assert rc == 0
 
 
+    def test_user_values_reach_manifest(self, tmp_path):
+        out = tmp_path / "zero"
+        common = ["--side-px", "32", "--n-buildings", "2", "--footprint-range", "3,6"]
+        assert main(["synth", "--out-dir", str(out), "--z-rx", "0", *common]) == 0
+        assert "z_rx=0.0\n" in (out / "scene.txt").read_text()
+        out = tmp_path / "preset"
+        assert main(
+            ["synth", "--out-dir", str(out), "--preset", "sparse", "--freq", "28e9", *common]
+        ) == 0
+        assert "freq=28000000000.0\n" in (out / "scene.txt").read_text()
+
+
+class TestReaderErrors:
+    def assert_one_error_line(self, capsys, needle):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_manifest_line_without_equals(self, tmp_path, city, capsys):
+        manifest = tmp_path / "scene.txt"
+        manifest.write_text(f"heightmap={city}\ntx_x 5.5\ntx_y=9.5\n")
+        rc = main(["anchor", "--manifest", str(manifest), "--out", str(tmp_path / "a.rgf")])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "scene.txt: line 2")
+
+    def test_config_line_without_equals(self, tmp_path, city, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# comment\n\npatch_px 8\n")
+        rc = main(["--config", str(cfg), "order", *tx_flags(city), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "cfg.txt: line 3")
+
+    def test_malformed_order_file(self, tmp_path, capsys):
+        save_trace(LogitTrace(np.zeros((4, 3))), tmp_path / "t.ltr")
+        (tmp_path / "o.json").write_text('{"kind":"raster","perm":[0,1,2,3]}')
+        rc = main(["entropy", "--trace", str(tmp_path / "t.ltr"), "--order", str(tmp_path / "o.json")])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "o.json")
+
+    def test_csv_heightmap_with_short_row(self, tmp_path, capsys):
+        hm = tmp_path / "hm.csv"
+        hm.write_text("x,y,z,value\n0,0,0\n")
+        rc = main(
+            ["anchor", "--heightmap", str(hm), "--tx-x", "0.5", "--tx-y", "0.5",
+             "--out", str(tmp_path / "a.rgf")]
+        )
+        assert rc == 1
+        self.assert_one_error_line(capsys, "hm.csv: line 2")
+
+
 class TestSelftestCommand:
     def test_all_suites_pass(self, capsys):
         assert main(["selftest"]) == 0

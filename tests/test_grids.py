@@ -21,6 +21,7 @@ from radiofront import (
     rasterize_tx,
     save_grid,
 )
+from radiofront.grids import atomic_write
 
 
 def random_grid(rng):
@@ -206,3 +207,27 @@ class TestCsv:
         p.write_text("x,y,z,value\n0,0,0,1.0\n1,1,0,2.0\n")
         with pytest.raises(GridFormatError):
             grid_from_csv(p)
+
+    def test_negative_index_rejected(self, tmp_path):
+        # x=-1 would wrap onto column 1 and fill a 2x2 grid
+        p = tmp_path / "neg.csv"
+        p.write_text("x,y,z,value\n0,0,0,1.0\n1,0,0,2.0\n0,1,0,3.0\n-1,1,0,4.0\n")
+        with pytest.raises(GridFormatError, match="neg.csv"):
+            grid_from_csv(p)
+
+    @pytest.mark.parametrize("row", ["0,0,0", "0,a,0,1.0", "0,0,0,x"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        p = tmp_path / "short.csv"
+        p.write_text(f"x,y,z,value\n{row}\n")
+        with pytest.raises(GridFormatError, match="short.csv: line 2"):
+            grid_from_csv(p)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("data", [b"\x00RGF", "a=1\n"])
+    def test_replaces_file_and_leaves_no_temp(self, tmp_path, data):
+        p = tmp_path / "out.bin"
+        p.write_text("old contents")
+        atomic_write(p, data)
+        assert (p.read_bytes() if isinstance(data, bytes) else p.read_text()) == data
+        assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]

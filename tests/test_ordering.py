@@ -29,8 +29,8 @@ from radiofront import (
     wavefront_order,
     zcurve_order,
 )
-from radiofront.grids import RadioField, UNIT_DB
-from radiofront.ordering import edge_weights
+from radiofront.grids import RadioField, UNIT_DB, ValidationError
+from radiofront.ordering import edge_weights, save_costs_csv
 
 
 def flat_scene(side_px=24, res=1.0, tx=(4.0, 12.0), z_tx=1.5):
@@ -163,6 +163,7 @@ class TestBruteforceOracle:
             _, costs = wavefront_order(sc, pg)
             bf = bruteforce_costs(sc, pg)
             assert np.all(np.abs(bf.d - costs.d) <= 1e-12 * (1.0 + costs.d))
+            assert np.array_equal(bf.pred, costs.pred)
 
     def test_flat_map_equals_distances(self):
         sc = flat_scene(tx=(12.0, 20.0), z_tx=1.5)  # patch (2, 1) center
@@ -342,3 +343,31 @@ class TestOrderFiles:
     def test_bijection_enforced(self):
         with pytest.raises(Exception):
             OrderPi(np.array([0, 0, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"np":2,"perm":[0,1,2,3]}',
+            '{"kind":"raster","perm":[0,1,2,3]}',
+            '{"kind":"raster","np":2}',
+            "[0,1,2,3]",
+            '{"kind":"raster","np":2,"perm":null}',
+            '{"kind":"raster","np":2,"perm":[0,1,2]}',
+            "not json",
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match="bad.json"):
+            load_order(p)
+
+    def test_costs_csv_rows(self, tmp_path):
+        sc = wall_scene()
+        _, costs = wavefront_order(sc, PatchGrid.for_scene(sc, patch_px=8))
+        save_costs_csv(costs, tmp_path / "c.csv")
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[0] == "patch_index,D,pred" and len(lines) == 10
+        for i, line in enumerate(lines[1:]):
+            assert line == f"{i},{float(costs.d[i])!r},{int(costs.pred[i])}"
+        assert [f.name for f in tmp_path.iterdir()] == ["c.csv"]

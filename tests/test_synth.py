@@ -129,6 +129,14 @@ class TestGenField:
         for k, z in enumerate(sc.rx.slice_heights()):
             assert np.array_equal(fld.values[k], anchor_map(sc, z=z).slice(0))
 
+    def test_noise_drawn_slice_by_slice(self):
+        sc = self.scene(n_z=3)
+        fld = gen_field(sc, noise_sigma=3.0, seed=9)
+        rng = np.random.default_rng(9)
+        for k, z in enumerate(sc.rx.slice_heights()):
+            v = anchor_map(sc, z=z).slice(0)
+            assert np.array_equal(fld.values[k], v + rng.normal(0.0, 3.0, size=v.shape))
+
     def test_true_pl_order_links_to_euclidean(self):
         # pixel-sized patches with the tx at a pixel center make the mean
         # patch score the exact center pathloss, so the ranking is the
