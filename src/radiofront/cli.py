@@ -2,10 +2,16 @@
 
 Subcommands: anchor, order, entropy, metrics, synth, selftest.  Every run is
 deterministic given identical inputs and --seed; every writer except the
-``x,y,z,value`` grid export replaces files atomically.  Option precedence is
-CLI flag > config file > built-in default, where the config file is flat
-``key=value`` text (the scene-manifest syntax) given by --config or the
-RADIOFRONT_CONFIG environment variable.
+``x,y,z,value`` grid export replaces files atomically.
+
+Option precedence is CLI flag > config file > scene manifest > library
+default.  The config file (--config or the RADIOFRONT_CONFIG environment
+variable) and the manifest (--manifest, scene options only) are flat
+``key=value`` text; each value is converted with its option's own type, and
+one that does not convert is reported with the file and the key.  Options
+left unset are not passed on, so the defaults live only in the library
+objects: TxConfig, RxConfig, OrderParams, GradLossConfig, CityParams, the
+presets and the functions they feed.
 """
 
 from __future__ import annotations
@@ -83,9 +89,33 @@ def _read_key_values(path: str) -> dict:
     return out
 
 
-def _load_config(path: str | None) -> dict:
-    config_path = path or os.environ.get(CONFIG_ENV)
-    return _read_key_values(config_path) if config_path else {}
+def _typed_options(parser: argparse.ArgumentParser, path: str, values: dict) -> dict:
+    """The values naming parser's options, each converted with its option's type."""
+    out = {}
+    for action in parser._actions:
+        key = action.dest
+        if key in values:
+            try:
+                out[key] = (action.type or str)(values[key])
+                if action.choices is not None and out[key] not in action.choices:
+                    raise ValueError(f"{values[key]!r} is not one of {sorted(action.choices)}")
+            except ValueError as exc:
+                raise ValidationError(f"{path}: {key}: {exc}") from None
+    return out
+
+
+def _given(**kw) -> dict:
+    """The keyword arguments the user set; the library defaults the rest."""
+    return {k: v for k, v in kw.items() if v is not None}
+
+
+def _number_list(cast):
+    """argparse type for comma-separated numbers such as '1,2,4'."""
+    def parse(text: str) -> tuple:
+        return tuple(cast(v) for v in text.split(","))
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _load_any_grid(path: str, csv_unit: str = UNIT_DB):
@@ -94,43 +124,32 @@ def _load_any_grid(path: str, csv_unit: str = UNIT_DB):
     return load_grid(path)
 
 
+# scene option (and manifest key) -> TxConfig field; RxConfig fields keep their names
+_TX_FIELDS = {"tx_x": "x", "tx_y": "y", "tx_z": "z", "freq": "f",
+              "power": "p_tx", "bandwidth": "w", "noise_figure": "nf", "d0": "d0"}
+_RX_FIELDS = ("z_rx", "n_z", "dz")
+_SCENE_KEYS = ("heightmap", *_TX_FIELDS, *_RX_FIELDS)
+
+
 def _scene_from_args(args) -> Scene:
-    manifest = _read_key_values(args.manifest) if getattr(args, "manifest", None) else {}
-
-    def pick(flag_value, key, default, cast=float):
-        if flag_value is not None:
-            return flag_value
-        if key in manifest:
-            return cast(manifest[key])
-        return default
-
-    hm_path = args.heightmap or manifest.get("heightmap")
-    if hm_path is None:
+    """Scene options by precedence: flag > config file > manifest > library default."""
+    opts = {}
+    if args.manifest:
+        manifest = _read_key_values(args.manifest)
+        scene_values = {k: manifest[k] for k in _SCENE_KEYS if k in manifest}
+        opts = _typed_options(_SUBPARSERS[args.command], args.manifest, scene_values)
+        if "heightmap" in opts and not os.path.isabs(opts["heightmap"]):
+            opts["heightmap"] = str(Path(args.manifest).parent / opts["heightmap"])
+    opts.update(_given(**{k: getattr(args, k) for k in _SCENE_KEYS}))
+    if "heightmap" not in opts:
         raise ValueError("a height map is required (--heightmap or a manifest)")
-    if getattr(args, "manifest", None) and not os.path.isabs(hm_path) and args.heightmap is None:
-        hm_path = str(Path(args.manifest).parent / hm_path)
-    grid = _load_any_grid(hm_path, csv_unit="meters")
+    grid = _load_any_grid(opts["heightmap"], csv_unit="meters")
     if not isinstance(grid, HeightMap):
-        raise ValueError(f"{hm_path} does not contain a height map")
-    tx_x = pick(args.tx_x, "tx_x", None)
-    tx_y = pick(args.tx_y, "tx_y", None)
-    if tx_x is None or tx_y is None:
+        raise ValueError(f"{opts['heightmap']} does not contain a height map")
+    if "tx_x" not in opts or "tx_y" not in opts:
         raise ValueError("transmitter position required (--tx-x/--tx-y or a manifest)")
-    tx = TxConfig(
-        x=tx_x,
-        y=tx_y,
-        z=pick(args.tx_z, "tx_z", 1.5),
-        f=pick(args.freq, "freq", 5.9e9),
-        p_tx=pick(args.power, "power", 23.0),
-        w=pick(args.bandwidth, "bandwidth", 10e6),
-        nf=pick(args.noise_figure, "noise_figure", 5.0),
-        d0=pick(args.d0, "d0", 1.0),
-    )
-    rx = RxConfig(
-        z_rx=pick(args.z_rx, "z_rx", 1.5),
-        n_z=int(pick(args.n_z, "n_z", 1, int)),
-        dz=pick(args.dz, "dz", 1.0),
-    )
+    tx = TxConfig(**{field: opts[k] for k, field in _TX_FIELDS.items() if k in opts})
+    rx = RxConfig(**{k: opts[k] for k in _RX_FIELDS if k in opts})
     return Scene(grid, tx, rx)
 
 
@@ -162,8 +181,10 @@ def cmd_anchor(args) -> int:
 
 def cmd_order(args) -> int:
     scene = _scene_from_args(args)
-    patches = PatchGrid.for_scene(scene, patch_px=args.patch_px)
-    params = OrderParams(args.alpha_los, args.alpha_nlos, args.beta_clamp)
+    patches = PatchGrid.for_scene(scene, **_given(patch_px=args.patch_px))
+    params = OrderParams(
+        **_given(alpha_los=args.alpha_los, alpha_nlos=args.alpha_nlos, beta_clamp=args.beta_clamp)
+    )
     kind = args.kind.lower()
     costs = None
     if kind == "wavefront":
@@ -235,17 +256,14 @@ def cmd_metrics(args) -> int:
     gt = _load_any_grid(args.gt)
     if not isinstance(pred, RadioField) or not isinstance(gt, RadioField):
         raise ValueError("metrics needs two radio fields")
-    lo, hi = args.norm_lo, args.norm_hi
+    window = _given(lo=args.norm_lo, hi=args.norm_hi)
     if pred.unit == UNIT_DB:
         pred_db, gt_db = pred, gt
-        pred01, gt01 = normalize_db(pred, lo, hi), normalize_db(gt, lo, hi)
+        pred01, gt01 = normalize_db(pred, **window), normalize_db(gt, **window)
     else:
         pred01, gt01 = pred, gt
-        pred_db, gt_db = denormalize_db(pred, lo, hi), denormalize_db(gt, lo, hi)
-    cfg = GradLossConfig(
-        scales=tuple(int(s) for s in args.scales.split(",")),
-        lambda_z=args.lambda_z,
-    )
+        pred_db, gt_db = denormalize_db(pred, **window), denormalize_db(gt, **window)
+    cfg = GradLossConfig(**_given(scales=args.scales, lambda_z=args.lambda_z))
     grad = grad3d_loss(pred01, gt01, cfg)
     values = {
         "nmse": nmse(pred01, gt01),
@@ -270,48 +288,27 @@ def cmd_metrics(args) -> int:
 
 def _synth_one(args, seed: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    rx = RxConfig(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz)
+    rx = RxConfig(**_given(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz))
+    tx_fields = _given(f=args.freq)
+    size = _given(side_px=args.side_px, resolution=args.resolution)
     if args.preset:
-        scene = PRESETS[args.preset](seed=seed, side_px=args.side_px, resolution=args.resolution)
-        scene = Scene(scene.heightmap, replace(scene.tx, f=args.freq), rx)
+        scene = PRESETS[args.preset](seed=seed, **size)
+        scene = Scene(scene.heightmap, replace(scene.tx, **tx_fields), rx)
     else:
-        h_lo, h_hi = (float(v) for v in args.height_range.split(","))
-        f_lo, f_hi = (int(v) for v in args.footprint_range.split(","))
-        params = CityParams(
-            side_px=args.side_px,
-            resolution=args.resolution,
+        layout = _given(
             n_buildings=args.n_buildings,
-            height_range=(h_lo, h_hi),
-            footprint_range=(f_lo, f_hi),
-            seed=seed,
+            height_range=args.height_range,
+            footprint_range=args.footprint_range,
         )
-        scene = gen_scene(params, rx=rx, f=args.freq)
-    clamp = PATHLOSS_RANGES[args.clamp_profile] if args.clamp_profile else None
-    fld = gen_field(
-        scene,
-        noise_sigma=args.noise_sigma,
-        seed=seed,
-        smooth_sigma=args.smooth_sigma,
-        clamp=clamp,
-    )
+        scene = gen_scene(CityParams(seed=seed, **size, **layout), rx=rx, **tx_fields)
+    clamp = PATHLOSS_RANGES.get(args.clamp_profile)
+    noise = _given(noise_sigma=args.noise_sigma, smooth_sigma=args.smooth_sigma, clamp=clamp)
+    fld = gen_field(scene, seed=seed, **noise)
     save_grid(scene.heightmap, out_dir / "heightmap.rgf")
     save_grid(fld, out_dir / "field.rgf")
-    manifest = {
-        "seed": seed,
-        "heightmap": "heightmap.rgf",
-        "field": "field.rgf",
-        "tx_x": scene.tx.x,
-        "tx_y": scene.tx.y,
-        "tx_z": scene.tx.z,
-        "freq": scene.tx.f,
-        "power": scene.tx.p_tx,
-        "bandwidth": scene.tx.w,
-        "noise_figure": scene.tx.nf,
-        "d0": scene.tx.d0,
-        "z_rx": rx.z_rx,
-        "n_z": rx.n_z,
-        "dz": rx.dz,
-    }
+    manifest = {"seed": seed, "heightmap": "heightmap.rgf", "field": "field.rgf"}
+    manifest.update({k: getattr(scene.tx, f) for k, f in _TX_FIELDS.items()})
+    manifest.update({k: getattr(rx, k) for k in _RX_FIELDS})
     text = "\n".join(
         f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
         for k, v in manifest.items()
@@ -345,7 +342,7 @@ def _suite_ordering(rng) -> None:
         heights = (rng.random((32, 32)) < 0.25) * rng.uniform(5, 30, (32, 32))
         scene = Scene(
             HeightMap(heights, 1.0),
-            TxConfig(rng.uniform(0, 32), rng.uniform(0, 32), 1.5, 5.9e9),
+            TxConfig(rng.uniform(0, 32), rng.uniform(0, 32)),
         )
         patches = PatchGrid.for_scene(scene, patch_px=4)
         order, costs = wavefront_order(scene, patches)
@@ -442,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="wavefront",
         help="wavefront|priorpl|truepl|raster|hilbert|zcurve|subsample|alternative",
     )
-    p.add_argument("--patch-px", type=int, default=16, help="pixels per patch side")
-    p.add_argument("--alpha-los", type=float, default=2.0)
-    p.add_argument("--alpha-nlos", type=float, default=2.0)
-    p.add_argument("--beta-clamp", type=float, default=1e-6)
+    p.add_argument("--patch-px", type=int, help="pixels per patch side")
+    p.add_argument("--alpha-los", type=float)
+    p.add_argument("--alpha-nlos", type=float)
+    p.add_argument("--beta-clamp", type=float)
     p.add_argument("--field", help="ground-truth RGF1 field (for --kind truepl)")
     p.add_argument("--out", required=True, help="output order file (JSON)")
     p.add_argument("--cost-csv", help="dump patch_index,D,pred CSV")
@@ -467,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--report", required=True, help="one-line CSV report path")
     p.add_argument("--per-slice", help="per-slice breakdown CSV")
-    p.add_argument("--norm-lo", type=float, default=-47.0, help="dB mapped to 1.0")
-    p.add_argument("--norm-hi", type=float, default=-169.0, help="dB mapped to 0.0")
-    p.add_argument("--scales", default="1,2,4", help="gradient-loss pooling factors")
-    p.add_argument("--lambda-z", type=float, default=0.5)
+    p.add_argument("--norm-lo", type=float, help="dB mapped to 1.0")
+    p.add_argument("--norm-hi", type=float, help="dB mapped to 0.0")
+    p.add_argument("--scales", type=_number_list(int), help="gradient-loss pooling factors")
+    p.add_argument("--lambda-z", type=float)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("synth", help="generate synthetic scenes and fields")
@@ -479,17 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1, help="number of scenes")
     p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
-    p.add_argument("--side-px", type=int, default=256)
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--n-buildings", type=int, default=12)
-    p.add_argument("--height-range", default="6.6,19.8")
-    p.add_argument("--footprint-range", default="16,48")
-    p.add_argument("--freq", type=float, default=5.9e9)
-    p.add_argument("--z-rx", type=float, default=1.5)
-    p.add_argument("--n-z", type=int, default=1)
-    p.add_argument("--dz", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="dB noise std")
-    p.add_argument("--smooth-sigma", type=float, default=0.0, help="gaussian blur, px")
+    p.add_argument("--side-px", type=int)
+    p.add_argument("--resolution", type=float)
+    p.add_argument("--n-buildings", type=int)
+    p.add_argument("--height-range", type=_number_list(float), help="lo,hi meters")
+    p.add_argument("--footprint-range", type=_number_list(int), help="lo,hi pixels")
+    p.add_argument("--freq", type=float)
+    p.add_argument("--z-rx", type=float)
+    p.add_argument("--n-z", type=int)
+    p.add_argument("--dz", type=float)
+    p.add_argument("--noise-sigma", type=float, help="dB noise std")
+    p.add_argument("--smooth-sigma", type=float, help="gaussian blur, px")
     p.add_argument("--clamp-profile", choices=sorted(PATHLOSS_RANGES), help="clip range")
     p.set_defaults(func=cmd_synth)
 
@@ -503,30 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv) -> None:
-    """Config-file values become subcommand defaults; explicit flags win."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    config = _load_config(known.config)
-    if not config:
-        return
-    for sub_parser in _SUBPARSERS.values():
-        defaults = {}
-        for action in sub_parser._actions:
-            if action.dest in config:
-                value = config[action.dest]
-                defaults[action.dest] = action.type(value) if action.type else value
-        if defaults:
-            sub_parser.set_defaults(**defaults)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config(argv)
         args = parser.parse_args(argv)
+        config = args.config or os.environ.get(CONFIG_ENV)
+        if config:  # config values become the subcommand's defaults; flags still win
+            sub = _SUBPARSERS[args.command]
+            sub.set_defaults(**_typed_options(sub, config, _read_key_values(config)))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,8 @@ _TAG_UNITS = {v: k for k, v in _UNIT_TAGS.items()}
 NORM_LO_DB = -47.0
 NORM_HI_DB = -169.0
 
+_CSV_HEADER = ["x", "y", "z", "value"]
+
 
 class GridFormatError(ValueError):
     """Malformed RGF1 payload: bad magic, bad tag, or truncated data."""
@@ -91,8 +93,8 @@ class TxConfig:
 
     x: float  # meters
     y: float  # meters
-    z: float  # meters above ground
-    f: float  # carrier frequency, Hz
+    z: float = 1.5  # meters above ground
+    f: float = 5.9e9  # carrier frequency, Hz
     p_tx: float = 23.0  # transmit power, dBm
     w: float = 10e6  # bandwidth, Hz
     nf: float = 5.0  # noise figure, dB
@@ -285,36 +287,52 @@ def load_grid(path: str | Path) -> HeightMap | RadioField:
 def grid_from_csv(
     path: str | Path, unit: str = UNIT_DB, resolution: float = 1.0
 ) -> HeightMap | RadioField:
-    """Import a dense grid from CSV with header ``x,y,z,value``.
+    """Import a dense grid from UTF-8 CSV with header ``x,y,z,value``.
 
     x is the column index, y the row index, z the slice index.  Every cell
-    of the implied (z, y, x) box must be present exactly once.
+    of the implied (z, y, x) box must be present exactly once, with a finite
+    value (and a non-negative one for meters).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["x", "y", "z", "value"]:
-            raise GridFormatError(f"{path}: expected CSV header 'x,y,z,value'")
-        try:
-            rows = [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader]
-        except (IndexError, ValueError):
-            raise GridFormatError(
-                f"{path}: line {reader.line_num}: expected integer x,y,z and a numeric value"
-            ) from None
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip().lower() for c in next(reader, [])]
+            if header == _CSV_HEADER:
+                for r in reader:
+                    rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), reader.line_num))
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
+    except (IndexError, ValueError, csv.Error):
+        raise GridFormatError(
+            f"{path}: line {reader.line_num}: expected integer x,y,z and a numeric value"
+        ) from None
+    if header != _CSV_HEADER:
+        raise GridFormatError(f"{path}: expected CSV header 'x,y,z,value'")
     if not rows:
         raise GridFormatError(f"{path}: no data rows")
-    xs, ys, zs, vals = zip(*rows)
+    xs, ys, zs, vals, lines = zip(*rows)
+
+    def reject_first(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise GridFormatError(f"{path}: line {lines[int(np.argmax(bad))]}: {what}")
+
+    vals = np.array(vals)
+    reject_first(~np.isfinite(vals), "value is not finite")
+    if unit == UNIT_METERS:
+        reject_first(vals < 0, "building height is negative")
     if min(min(xs), min(ys), min(zs)) < 0:
-        raise GridFormatError(f"{path}: negative cell index")
+        reject_first(np.array([min(r[:3]) < 0 for r in rows]), "negative cell index")
     width, height, depth = max(xs) + 1, max(ys) + 1, max(zs) + 1
     if len(rows) != width * height * depth:
         raise GridFormatError(
             f"{path}: {len(rows)} rows do not fill a {width}x{height}x{depth} grid"
         )
-    values = np.full((depth, height, width), np.nan)
-    values[np.array(zs), np.array(ys), np.array(xs)] = vals
-    if np.any(np.isnan(values)):
-        raise GridFormatError(f"{path}: duplicate or missing cells")
+    flat = (np.array(zs) * height + np.array(ys)) * width + np.array(xs)
+    reject_first(np.bincount(flat)[flat] > 1, "duplicate cell")
+    values = np.empty(len(rows))
+    values[flat] = vals  # no duplicates among width*height*depth rows: every cell set
+    values = values.reshape(depth, height, width)
     if unit == UNIT_METERS:
         if depth != 1:
             raise GridFormatError(f"{path}: height map must have depth 1")
@@ -327,7 +345,7 @@ def grid_to_csv(grid: HeightMap | RadioField, path: str | Path) -> None:
     values = grid.values[np.newaxis] if isinstance(grid, HeightMap) else grid.values
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "value"])
+        writer.writerow(_CSV_HEADER)
         for z in range(values.shape[0]):
             for y in range(values.shape[1]):
                 for x in range(values.shape[2]):

@@ -81,7 +81,7 @@ def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[r:-r, r:-r]
 
 
-def _ssim_slice(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
+def _ssim_slice(a: np.ndarray, b: np.ndarray) -> float:
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(
             f"image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
@@ -92,8 +92,8 @@ def _ssim_slice(a: np.ndarray, b: np.ndarray, data_range: float = 1.0) -> float:
     var_a = _windowed_mean(a * a, kernel) - mu_a * mu_a
     var_b = _windowed_mean(b * b, kernel) - mu_b * mu_b
     cov = _windowed_mean(a * b, kernel) - mu_a * mu_b
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = SSIM_K1 ** 2  # data range 1.0
+    c2 = SSIM_K2 ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float((num / den).mean())
@@ -131,15 +131,14 @@ def metric_report(pred_db: RadioField, gt_db: RadioField, lo: float, hi: float) 
 @dataclass(frozen=True)
 class GradLossConfig:
     scales: tuple[int, ...] = (1, 2, 4)
-    lambda_grad: float = 1.0
     lambda_z: float = 0.5
     norm: str = "l1"  # or "l2"
 
     def __post_init__(self):
         if not self.scales or any(s < 1 for s in self.scales):
             raise ValidationError("scales must be non-empty with factors >= 1")
-        if self.lambda_grad < 0 or self.lambda_z < 0:
-            raise ValidationError("loss weights must be >= 0")
+        if self.lambda_z < 0:
+            raise ValidationError("lambda_z must be >= 0")
         if self.norm not in ("l1", "l2"):
             raise ValidationError(f"unknown gradient norm {self.norm!r}")
 

@@ -512,10 +512,13 @@ def load_order(path: str | Path) -> OrderPi:
         doc = json.loads(Path(path).read_text())
         if not (isinstance(doc, dict) and {"kind", "np", "perm"} <= doc.keys()):
             raise ValidationError("expected a JSON object with kind, np and perm")
-        order = OrderPi(np.array(doc["perm"], dtype=np.int64), doc["kind"], doc.get("params", {}))
+        perm = doc["perm"]
+        if not (isinstance(perm, list) and all(type(v) is int for v in perm)):
+            raise ValidationError("perm must be a list of integers")
+        order = OrderPi(np.array(perm, dtype=np.int64), doc["kind"], doc.get("params", {}))
         if order.n_side != doc["np"]:
             raise ValidationError(f"perm length does not match np={doc['np']}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return order
 

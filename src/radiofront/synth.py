@@ -29,6 +29,7 @@ HEIGHT_RANGES = {
     "radiomap3dseer": (6.6, 19.8),
     "urbanradio3d": (6.6, 19.8),
 }
+MAX_PLACEMENT_TRIES = 200  # random placements tried per building
 
 
 class GenerationError(RuntimeError):
@@ -65,7 +66,7 @@ def dataset_profile(name: str, **overrides) -> CityParams:
     return replace(CityParams(height_range=HEIGHT_RANGES[key]), **overrides)
 
 
-def gen_city(params: CityParams, max_tries: int = 200) -> HeightMap:
+def gen_city(params: CityParams) -> HeightMap:
     """Non-overlapping rectangular buildings, deterministic from the seed."""
     rng = np.random.default_rng(params.seed)
     heights = np.zeros((params.side_px, params.side_px), dtype=np.float64)
@@ -73,7 +74,7 @@ def gen_city(params: CityParams, max_tries: int = 200) -> HeightMap:
     flo, fhi = params.footprint_range
     hlo, hhi = params.height_range
     for b in range(params.n_buildings):
-        for _ in range(max_tries):
+        for _ in range(MAX_PLACEMENT_TRIES):
             w = int(rng.integers(flo, fhi + 1))
             h = int(rng.integers(flo, fhi + 1))
             r = int(rng.integers(0, params.side_px - h + 1))
@@ -85,7 +86,7 @@ def gen_city(params: CityParams, max_tries: int = 200) -> HeightMap:
         else:
             raise GenerationError(
                 f"could not place building {b + 1}/{params.n_buildings} "
-                f"after {max_tries} tries (seed {params.seed})"
+                f"after {MAX_PLACEMENT_TRIES} tries (seed {params.seed})"
             )
     return HeightMap(heights, params.resolution)
 
@@ -102,16 +103,19 @@ def gen_scene(
     params: CityParams,
     tx: TxConfig | None = None,
     rx: RxConfig | None = None,
-    f: float = 5.9e9,
-    z_tx: float = 1.5,
+    **tx_fields,
 ) -> Scene:
-    """City plus transmitter; the tx pixel is never covered by a building."""
+    """City plus transmitter; the tx pixel is never covered by a building.
+
+    Without tx, the transmitter sits at the center of a seeded open pixel
+    and tx_fields (z, f, p_tx, ...) override the other TxConfig defaults.
+    """
     heightmap = gen_city(params)
     if tx is None:
         rng = np.random.default_rng(params.seed + 1)
         i, j = _open_pixel(rng, heightmap.values)
         res = params.resolution
-        tx = TxConfig(x=(j + 0.5) * res, y=(i + 0.5) * res, z=z_tx, f=f)
+        tx = TxConfig(x=(j + 0.5) * res, y=(i + 0.5) * res, **tx_fields)
     return Scene(heightmap, tx, rx or RxConfig())
 
 
@@ -162,8 +166,6 @@ def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -
     tx = TxConfig(
         x=resolution * side_px * 0.03,
         y=resolution * side_px * (0.3 + 0.4 * rng.random()),
-        z=1.5,
-        f=5.9e9,
     )
     return Scene(HeightMap(heights, resolution), tx)
 
@@ -178,12 +180,7 @@ def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1
     for c0 in range(street, side_px - slab, slab + street):
         _paint(heights, side_px // 16, side_px - side_px // 16, c0, c0 + slab, rng.uniform(12, 20))
         heights[cross: cross + street, c0: c0 + slab] = 0.0
-    tx = TxConfig(
-        x=resolution * street * 0.5,
-        y=resolution * side_px * 0.5,
-        z=1.5,
-        f=5.9e9,
-    )
+    tx = TxConfig(x=resolution * street * 0.5, y=resolution * side_px * 0.5)
     return Scene(HeightMap(heights, resolution), tx)
 
 
@@ -246,8 +243,7 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     hm, tx_x, tx_y = _dihedral(
         heights, half * resolution, half * resolution, side_px * resolution, seed % 8
     )
-    tx = TxConfig(tx_x, tx_y, 1.5, 5.9e9)
-    return Scene(HeightMap(hm * 1.0, resolution), tx)
+    return Scene(HeightMap(hm * 1.0, resolution), TxConfig(tx_x, tx_y))
 
 
 PRESETS = {

@@ -1,12 +1,16 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from radiofront import (
     HeightMap,
     LogitTrace,
+    OrderParams,
     RadioField,
+    TxConfig,
     UNIT_DB,
     load_grid,
     load_order,
@@ -271,6 +275,11 @@ class TestSynthCommand:
         ) == 0
         assert "freq=28000000000.0\n" in (out / "scene.txt").read_text()
 
+    def test_preset_keeps_its_own_side(self, tmp_path):
+        out = tmp_path / "serpentine"
+        assert main(["synth", "--out-dir", str(out), "--preset", "serpentine"]) == 0
+        assert load_grid(out / "heightmap.rgf").width_px == 48
+
 
 class TestReaderErrors:
     def assert_one_error_line(self, capsys, needle):
@@ -291,6 +300,38 @@ class TestReaderErrors:
         rc = main(["--config", str(cfg), "order", *tx_flags(city), "--out", str(tmp_path / "o.json")])
         assert rc == 1
         self.assert_one_error_line(capsys, "cfg.txt: line 3")
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("tx_x=abc", "scene.txt: tx_x: could not convert string to float: 'abc'"),
+            ("n_z=2.5", "scene.txt: n_z: invalid literal for int()"),
+        ],
+    )
+    def test_bad_manifest_value(self, tmp_path, city, capsys, line, needle):
+        manifest = tmp_path / "scene.txt"
+        manifest.write_text(f"heightmap={city}\ntx_x=5.5\ntx_y=9.5\n{line}\n")
+        rc = main(["anchor", "--manifest", str(manifest), "--out", str(tmp_path / "a.rgf")])
+        assert rc == 1
+        self.assert_one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize(
+        "command, line, needle",
+        [
+            ("order", "alpha_los=abc", "cfg.txt: alpha_los: could not convert string to float: 'abc'"),
+            ("order", "patch-px=8.5", "cfg.txt: patch_px: invalid literal for int()"),
+            ("synth", "clamp_profile=bogus", "cfg.txt: clamp_profile: 'bogus' is not one of"),
+            ("synth", "footprint_range=3,x", "cfg.txt: footprint_range: invalid literal for int()"),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, city, capsys, command, line, needle):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        argv = [*tx_flags(city), "--out", str(tmp_path / "o.json")]
+        if command == "synth":
+            argv = ["--out-dir", str(tmp_path / "s"), "--side-px", "32"]
+        assert main(["--config", str(cfg), command, *argv]) == 1
+        self.assert_one_error_line(capsys, needle)
 
     def test_malformed_order_file(self, tmp_path, capsys):
         save_trace(LogitTrace(np.zeros((4, 3))), tmp_path / "t.ltr")
@@ -346,3 +387,36 @@ class TestConfigPrecedence:
         out = tmp_path / "o.json"
         assert main(["order", *tx_flags(city), "--kind", "raster", "--out", str(out)]) == 0
         assert len(load_order(out)) == 64
+
+
+class TestPrecedence:
+    """flag > config file > manifest > library default, observed in output bytes."""
+
+    @pytest.mark.parametrize(
+        "command, key, default",
+        [("anchor", "tx_z", TxConfig(0, 0).z), ("order", "alpha_nlos", OrderParams().alpha_nlos)],
+    )
+    def test_flag_config_manifest_library_default(self, tmp_path, city, command, key, default):
+        manifest = tmp_path / "scene.txt"
+        manifest.write_text(f"heightmap={city}\ntx_x=5.5\ntx_y=9.5\n{key}=3.0\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}=4.0\n")
+        flag = "--" + key.replace("_", "-")
+        runs = itertools.count()
+
+        def output(*argv, config=False):
+            out = tmp_path / f"out{next(runs)}"
+            observed = ["--out", str(out)]
+            if command == "order":  # the costs move with alpha_nlos, not always the order
+                observed = ["--patch-px", "8", "--out", f"{out}.json", "--cost-csv", str(out)]
+            top = ["--config", str(cfg)] if config else []
+            assert main([*top, command, *argv, *observed]) == 0
+            return out.read_bytes()
+
+        given = {v: output(*tx_flags(city), flag, str(v)) for v in (default, 3.0, 4.0, 5.0)}
+        assert len(set(given.values())) == 4
+        from_manifest = given[3.0] if key == "tx_z" else given[default]  # scene options only
+        assert output("--manifest", str(manifest), flag, "5.0", config=True) == given[5.0]
+        assert output("--manifest", str(manifest), config=True) == given[4.0]
+        assert output("--manifest", str(manifest)) == from_manifest
+        assert output(*tx_flags(city)) == given[default]

@@ -11,6 +11,7 @@ from radiofront import (
     Scene,
     TxConfig,
     UNIT_DB,
+    UNIT_METERS,
     UNIT_NORM01,
     ValidationError,
     denormalize_db,
@@ -220,6 +221,27 @@ class TestCsv:
         p = tmp_path / "short.csv"
         p.write_text(f"x,y,z,value\n{row}\n")
         with pytest.raises(GridFormatError, match="short.csv: line 2"):
+            grid_from_csv(p)
+
+    @pytest.mark.parametrize(
+        "rows, unit, needle",
+        [
+            ("0,0,0,1.0\n1,0,0,nan", UNIT_DB, "line 3: value is not finite"),
+            ("0,0,0,inf\n1,0,0,1.0", UNIT_DB, "line 2: value is not finite"),
+            ("0,0,0,1.0\n1,0,0,-2.0", UNIT_METERS, "line 3: building height is negative"),
+            ("0,0,0,1\n1,0,0,2\n1,0,0,3\n1,1,0,4", UNIT_DB, "line 3: duplicate cell"),
+        ],
+    )
+    def test_bad_cell_named_with_its_line(self, tmp_path, rows, unit, needle):
+        p = tmp_path / "cells.csv"
+        p.write_text(f"x,y,z,value\n{rows}\n")
+        with pytest.raises(GridFormatError, match=f"cells.csv: {needle}"):
+            grid_from_csv(p, unit=unit)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"x,y,z,value\n0,0,0,1.0\xff\n")
+        with pytest.raises(GridFormatError, match="latin.csv: not UTF-8"):
             grid_from_csv(p)
 
 

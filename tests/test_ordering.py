@@ -354,6 +354,12 @@ class TestOrderFiles:
             '{"kind":"raster","np":2,"perm":null}',
             '{"kind":"raster","np":2,"perm":[0,1,2]}',
             "not json",
+            # non-integer entries used to be cast: 0.9 -> 0, true -> 1, "2" -> 2
+            '{"kind":"raster","np":2,"perm":[0.9,1.2,2.5,3.1]}',
+            '{"kind":"raster","np":2,"perm":[0,1,2,3.0]}',
+            '{"kind":"raster","np":2,"perm":[false,true,2,3]}',
+            '{"kind":"raster","np":2,"perm":["0","1","2","3"]}',
+            '{"kind":"raster","np":1,"perm":[99999999999999999999]}',
         ],
     )
     def test_malformed_document_rejected(self, tmp_path, text):
