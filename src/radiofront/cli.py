@@ -7,11 +7,11 @@ deterministic given identical inputs and --seed; every writer except the
 Option precedence is CLI flag > config file > scene manifest > library
 default.  The config file (--config or the RADIOFRONT_CONFIG environment
 variable) and the manifest (--manifest, scene options only) are flat
-``key=value`` text; each value is converted with its option's own type, and
-one that does not convert is reported with the file and the key.  Options
-left unset are not passed on, so the defaults live only in the library
-objects: TxConfig, RxConfig, OrderParams, GradLossConfig, CityParams, the
-presets and the functions they feed.
+``key=value`` text, each value converted with its option's own type.  A bad
+value (named with its file and key) or flag ends the run with one ``error:``
+line.  Options left unset are not passed on, so the defaults live only in
+the library objects: TxConfig, RxConfig, OrderParams, GradLossConfig,
+CityParams, the presets and the functions they feed.
 """
 
 from __future__ import annotations
@@ -90,18 +90,33 @@ def _read_key_values(path: str) -> dict:
 
 
 def _typed_options(parser: argparse.ArgumentParser, path: str, values: dict) -> dict:
-    """The values naming parser's options, each converted with its option's type."""
+    """The values naming parser's options, each converted with its option's type.
+
+    A switch (--verify) takes true or false; a repeatable option is a flag only.
+    """
     out = {}
     for action in parser._actions:
-        key = action.dest
-        if key in values:
-            try:
-                out[key] = (action.type or str)(values[key])
-                if action.choices is not None and out[key] not in action.choices:
-                    raise ValueError(f"{values[key]!r} is not one of {sorted(action.choices)}")
-            except ValueError as exc:
-                raise ValidationError(f"{path}: {key}: {exc}") from None
+        key, text = action.dest, values.get(action.dest)
+        if text is None:
+            continue
+        try:
+            if isinstance(action, argparse._AppendAction):
+                raise ValueError("a repeatable option is given as a flag only")
+            if action.nargs == 0 and text.lower() not in ("true", "false"):
+                raise ValueError(f"{text!r} is not true or false")
+            out[key] = text.lower() == "true" if action.nargs == 0 else (action.type or str)(text)
+            if action.choices is not None and out[key] not in action.choices:
+                raise ValueError(f"{text!r} is not one of {sorted(action.choices)}")
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {key}: {exc}") from None
     return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage mistake (a bad flag value too) for main to report as one line."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def _given(**kw) -> dict:
@@ -293,14 +308,14 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
     size = _given(side_px=args.side_px, resolution=args.resolution)
     if args.preset:
         scene = PRESETS[args.preset](seed=seed, **size)
-        scene = Scene(scene.heightmap, replace(scene.tx, **tx_fields), rx)
     else:
         layout = _given(
             n_buildings=args.n_buildings,
             height_range=args.height_range,
             footprint_range=args.footprint_range,
         )
-        scene = gen_scene(CityParams(seed=seed, **size, **layout), rx=rx, **tx_fields)
+        scene = gen_scene(CityParams(seed=seed, **size, **layout))
+    scene = Scene(scene.heightmap, replace(scene.tx, **tx_fields), rx)
     clamp = PATHLOSS_RANGES.get(args.clamp_profile)
     noise = _given(noise_sigma=args.noise_sigma, smooth_sigma=args.smooth_sigma, clamp=clamp)
     fld = gen_field(scene, seed=seed, **noise)
@@ -318,17 +333,10 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
 
 def cmd_synth(args) -> int:
     base = Path(args.out_dir)
-    jobs = []
-    for k in range(args.count):
-        seed = args.seed + k
-        out_dir = base / f"scene_{k:03d}" if args.count > 1 else base
-        jobs.append((seed, out_dir))
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda sj: _synth_one(args, *sj), jobs))
-    else:
-        for seed, out_dir in jobs:
-            _synth_one(args, seed, out_dir)
+    jobs = [(args.seed + k, base / f"scene_{k:03d}" if args.count > 1 else base)
+            for k in range(args.count)]
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        list(pool.map(lambda sj: _synth_one(args, *sj), jobs))
     print(f"synth: wrote {len(jobs)} scene(s) under {base}")
     return 0
 
@@ -417,7 +425,7 @@ _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radiofront",
         description="physics-guided radio-map toolkit",
     )

@@ -103,19 +103,14 @@ def gen_scene(
     params: CityParams,
     tx: TxConfig | None = None,
     rx: RxConfig | None = None,
-    **tx_fields,
 ) -> Scene:
-    """City plus transmitter; the tx pixel is never covered by a building.
-
-    Without tx, the transmitter sits at the center of a seeded open pixel
-    and tx_fields (z, f, p_tx, ...) override the other TxConfig defaults.
-    """
+    """City plus transmitter; the tx pixel is never covered by a building."""
     heightmap = gen_city(params)
     if tx is None:
         rng = np.random.default_rng(params.seed + 1)
         i, j = _open_pixel(rng, heightmap.values)
         res = params.resolution
-        tx = TxConfig(x=(j + 0.5) * res, y=(i + 0.5) * res, **tx_fields)
+        tx = TxConfig(x=(j + 0.5) * res, y=(i + 0.5) * res)
     return Scene(heightmap, tx, rx or RxConfig())
 
 
@@ -163,10 +158,7 @@ def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -
         c0 = side_px // 4 + k * side_px // 5
         for r0 in range(side_px // 8 + (k % 2) * side_px // 6, side_px - side_px // 8, side_px // 4):
             _paint(heights, r0, r0 + side_px // 8, c0, c0 + side_px // 10, rng.uniform(10, 20))
-    tx = TxConfig(
-        x=resolution * side_px * 0.03,
-        y=resolution * side_px * (0.3 + 0.4 * rng.random()),
-    )
+    tx = TxConfig(x=resolution * side_px * 0.03, y=resolution * side_px * (0.3 + 0.4 * rng.random()))
     return Scene(HeightMap(heights, resolution), tx)
 
 

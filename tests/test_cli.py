@@ -322,15 +322,32 @@ class TestReaderErrors:
             ("order", "patch-px=8.5", "cfg.txt: patch_px: invalid literal for int()"),
             ("synth", "clamp_profile=bogus", "cfg.txt: clamp_profile: 'bogus' is not one of"),
             ("synth", "footprint_range=3,x", "cfg.txt: footprint_range: invalid literal for int()"),
+            ("order", "verify=maybe", "cfg.txt: verify: 'maybe' is not true or false"),
+            ("entropy", "order=o.json", "cfg.txt: order: a repeatable option is given as a flag only"),
         ],
     )
     def test_bad_config_value(self, tmp_path, city, capsys, command, line, needle):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line + "\n")
-        argv = [*tx_flags(city), "--out", str(tmp_path / "o.json")]
-        if command == "synth":
-            argv = ["--out-dir", str(tmp_path / "s"), "--side-px", "32"]
+        argv = {
+            "order": [*tx_flags(city), "--out", str(tmp_path / "o.json")],
+            "synth": ["--out-dir", str(tmp_path / "s"), "--side-px", "32"],
+            "entropy": ["--trace", str(tmp_path / "t.ltr")],
+        }[command]
         assert main(["--config", str(cfg), command, *argv]) == 1
+        self.assert_one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["metrics", "--pred", "p.rgf", "--gt", "g.rgf", "--report", "r.csv", "--scales", "1,x"],
+             "argument --scales: invalid comma-separated int value: '1,x'"),
+            (["order", "--patch-px", "abc", "--out", "o.json"], "argument --patch-px: invalid int"),
+            (["order", "--kind", "raster"], "the following arguments are required: --out"),
+        ],
+    )
+    def test_bad_flag(self, capsys, argv, needle):
+        assert main(argv) == 1
         self.assert_one_error_line(capsys, needle)
 
     def test_malformed_order_file(self, tmp_path, capsys):
@@ -379,6 +396,13 @@ class TestConfigPrecedence:
         )
         assert rc == 0
         assert load_order(out2).kind == "hilbert"  # flag wins
+
+    @pytest.mark.parametrize("value, checked", [("false", False), ("True", True)])
+    def test_config_switch(self, tmp_path, city, capsys, value, checked):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"verify={value}\npatch_px=8\n")
+        assert main(["--config", str(cfg), "order", *tx_flags(city), "--out", str(tmp_path / "o.json")]) == 0
+        assert ("containment: holds=True" in capsys.readouterr().out) == checked
 
     def test_env_var_config(self, tmp_path, city, monkeypatch):
         cfg = tmp_path / "cfg.txt"

@@ -1,5 +1,7 @@
 """Procedural city and pseudo ground-truth generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,12 +85,10 @@ class TestGenScene:
         assert a.tx == b.tx
         assert np.array_equal(a.heightmap.values, b.heightmap.values)
 
-    def test_tx_fields_override_txconfig_defaults(self):
+    def test_tx_takes_txconfig_defaults(self):
         p = CityParams(side_px=32, n_buildings=2, footprint_range=(3, 6), seed=4)
-        base = gen_scene(p).tx
-        assert (base.z, base.f) == (TxConfig(0, 0).z, TxConfig(0, 0).f)
-        tx = gen_scene(p, z=7.5, f=28e9, p_tx=30.0).tx
-        assert (tx.x, tx.y, tx.z, tx.f, tx.p_tx) == (base.x, base.y, 7.5, 28e9, 30.0)
+        tx = gen_scene(p).tx
+        assert replace(tx, x=0.0, y=0.0) == TxConfig(0.0, 0.0)
 
 
 class TestGenField:
