@@ -77,8 +77,13 @@ GEOMETRIC_ORDERS = {
 
 def _read_key_values(path: str) -> dict:
     """Flat ``key=value`` text; blank and '#' lines skipped, '-' in keys read as '_'."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        n = exc.object[: exc.start].count(b"\n") + 1
+        raise ValidationError(f"{path}: line {n}: not UTF-8 text") from None
     out = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -62,8 +62,8 @@ class LogitTrace:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValidationError("trace logits must be (n_steps, vocab)")
+        if logits.ndim != 2 or 0 in logits.shape:
+            raise ValidationError("trace logits must be (n_steps, vocab) with both >= 1")
         if not np.all(np.isfinite(logits)):
             raise ValidationError("trace contains NaN or infinite logits")
         if self.order is not None and len(self.order) != logits.shape[0]:
@@ -264,4 +264,7 @@ def load_trace(path: str | Path, order: OrderPi | None = None) -> LogitTrace:
             f"{path}: payload length {len(raw) - 12} bytes, expected {4 * n_steps * vocab}"
         )
     logits = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
-    return LogitTrace(logits.reshape(n_steps, vocab), order)
+    try:
+        return LogitTrace(logits.reshape(n_steps, vocab), order)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

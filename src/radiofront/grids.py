@@ -49,9 +49,14 @@ class ValidationError(ValueError):
     """A grid or configuration violates its invariants."""
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def _check_grid(values: np.ndarray, resolution: float, what: str) -> None:
+    """At least one cell, every value finite, a finite positive resolution."""
+    if values.size == 0:
+        raise ValidationError(f"{what} has no cells")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{what} contains NaN or infinite values")
+    if not 0 < resolution < math.inf:
+        raise ValidationError("resolution must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,9 @@ class HeightMap:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValidationError("height map must be 2D")
-        _check_finite(values, "height map")
+        _check_grid(values, self.resolution, "height map")
         if np.any(values < 0):
             raise ValidationError("building heights must be >= 0")
-        if not self.resolution > 0:
-            raise ValidationError("resolution must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -153,13 +156,11 @@ class RadioField:
             values = values[np.newaxis, :, :]
         if values.ndim != 3:
             raise ValidationError("radio field must be 2D or 3D")
-        _check_finite(values, "radio field")
+        _check_grid(values, self.resolution, "radio field")
         if self.unit not in (UNIT_DB, UNIT_NORM01):
             raise ValidationError(f"unknown field unit {self.unit!r}")
         if self.unit == UNIT_NORM01 and (np.any(values < 0) or np.any(values > 1)):
             raise ValidationError("normalized field has values outside [0, 1]")
-        if not self.resolution > 0:
-            raise ValidationError("resolution must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -277,11 +278,14 @@ def load_grid(path: str | Path) -> HeightMap | RadioField:
     values = np.frombuffer(raw, dtype="<f4", offset=21).astype(np.float64)
     values = values.reshape(depth, height, width)
     unit = _TAG_UNITS[tag]
-    if unit == UNIT_METERS:
-        if depth != 1:
-            raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
-        return HeightMap(values[0], float(resolution))
-    return RadioField(values, unit, float(resolution))
+    try:
+        if unit == UNIT_METERS:
+            if depth != 1:
+                raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
+            return HeightMap(values[0], float(resolution))
+        return RadioField(values, unit, float(resolution))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def grid_from_csv(

@@ -132,15 +132,12 @@ def metric_report(pred_db: RadioField, gt_db: RadioField, lo: float, hi: float) 
 class GradLossConfig:
     scales: tuple[int, ...] = (1, 2, 4)
     lambda_z: float = 0.5
-    norm: str = "l1"  # or "l2"
 
     def __post_init__(self):
         if not self.scales or any(s < 1 for s in self.scales):
             raise ValidationError("scales must be non-empty with factors >= 1")
         if self.lambda_z < 0:
             raise ValidationError("lambda_z must be >= 0")
-        if self.norm not in ("l1", "l2"):
-            raise ValidationError(f"unknown gradient norm {self.norm!r}")
 
 
 @dataclass(frozen=True)
@@ -159,11 +156,9 @@ def _avg_pool(v: np.ndarray, s: int) -> np.ndarray:
     return v.reshape(nz, h2 // s, s, w2 // s, s).mean(axis=(2, 4))
 
 
-def _gap(dp: np.ndarray, dg: np.ndarray, norm: str) -> float:
-    if dp.size == 0:
-        return 0.0
-    diff = np.abs(dp - dg)
-    return float((diff * diff).mean() if norm == "l2" else diff.mean())
+def _gap(dp: np.ndarray, dg: np.ndarray) -> float:
+    """Mean absolute difference; 0 for empty differences."""
+    return float(np.abs(dp - dg).mean()) if dp.size else 0.0
 
 
 def grad3d_loss(pred, gt, cfg: GradLossConfig | None = None) -> GradLossReport:
@@ -180,12 +175,12 @@ def grad3d_loss(pred, gt, cfg: GradLossConfig | None = None) -> GradLossReport:
     inplane = {}
     for s in sorted(set(cfg.scales)):
         ps, gs = _avg_pool(p, s), _avg_pool(g, s)
-        gap_x = _gap(np.diff(ps, axis=2), np.diff(gs, axis=2), cfg.norm)
-        gap_y = _gap(np.diff(ps, axis=1), np.diff(gs, axis=1), cfg.norm)
+        gap_x = _gap(np.diff(ps, axis=2), np.diff(gs, axis=2))
+        gap_y = _gap(np.diff(ps, axis=1), np.diff(gs, axis=1))
         inplane[s] = gap_x + gap_y
     vertical = 0.0
     if p.shape[0] > 1:
-        vertical = _gap(np.diff(p, axis=0), np.diff(g, axis=0), cfg.norm)
+        vertical = _gap(np.diff(p, axis=0), np.diff(g, axis=0))
     total = sum(inplane.values()) + cfg.lambda_z * vertical
     return GradLossReport(total, inplane, vertical)
 

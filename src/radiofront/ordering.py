@@ -4,8 +4,9 @@ The wavefront order ranks map patches by blockage-weighted shortest-path
 cost from the transmitter: every patch starts with a direct-path cost and a
 Dijkstra-style relaxation over the 8-connected patch graph lets shadowed
 patches reach lower costs through detours.  Sorting the final costs (ties
-broken by ascending patch index) yields a permutation whose prefix always
-contains each patch's entire lowest-cost predecessor chain.
+broken by ascending patch index) yields a permutation in which every patch
+comes after its predecessor, so each prefix contains the patch's entire
+lowest-cost predecessor chain.
 
 Predecessor rule, shared by the Dijkstra solver and the Bellman-Ford oracle:
 a patch whose relaxed cost beats its direct-path cost points at the tight
@@ -146,17 +147,6 @@ class CostField:
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
         object.__setattr__(self, "pred", np.asarray(self.pred, dtype=np.int64))
 
-    def chain(self, i: int) -> list[int]:
-        """Predecessor chain from patch i back to (and excluding) i."""
-        out = []
-        j = int(self.pred[i])
-        for _ in range(len(self.d)):
-            if j == NO_PRED:
-                return out
-            out.append(j)
-            j = int(self.pred[j])
-        raise ValidationError("predecessor pointers contain a cycle")
-
 
 @dataclass(frozen=True)
 class OrderPi:
@@ -193,7 +183,7 @@ class OrderPi:
 
 
 def _argsort_by_cost(d: np.ndarray) -> np.ndarray:
-    # stable sort: equal costs fall back to ascending patch index
+    """Ascending cost; the stable sort breaks ties by ascending patch index."""
     return np.argsort(d, kind="stable")
 
 
@@ -209,9 +199,11 @@ def _edge_list(n_side: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def _beta_between(scene: Scene, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _blocked_lengths(scene: Scene, a, b, alpha: float, clamp: float) -> np.ndarray:
+    """Length of each segment a[i] -> b[i] divided by max(1 - beta, clamp)^alpha."""
     h = scene.heightmap
-    return blockage_ratio_batch(h.values, h.resolution, a, b)
+    beta = blockage_ratio_batch(h.values, h.resolution, a, b)
+    return np.linalg.norm(b - a, axis=1) / np.maximum(1.0 - beta, clamp) ** alpha
 
 
 def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = None) -> CostField:
@@ -225,10 +217,7 @@ def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = No
     centers = patches.centers()
     source = patches.patch_of(scene.tx.x, scene.tx.y)
     origin = np.broadcast_to(scene.tx.position, centers.shape)
-    beta = _beta_between(scene, origin, centers)
-    clear = np.maximum(1.0 - beta, params.beta_clamp)
-    dist = np.linalg.norm(centers - scene.tx.position, axis=1)
-    d = dist / clear**params.alpha_los
+    d = _blocked_lengths(scene, origin, centers, params.alpha_los, params.beta_clamp)
     d[source] = 0.0
     pred = np.full(patches.n_patches, source, dtype=np.int64)
     pred[source] = NO_PRED
@@ -242,28 +231,25 @@ def edge_weights(
     params = params or OrderParams()
     centers = patches.centers()
     src, dst = _edge_list(patches.n_side)
-    beta = _beta_between(scene, centers[src], centers[dst])
-    clear = np.maximum(1.0 - beta, params.beta_clamp)
-    dist = np.linalg.norm(centers[src] - centers[dst], axis=1)
-    return src, dst, dist / clear**params.alpha_nlos
+    return src, dst, _blocked_lengths(
+        scene, centers[src], centers[dst], params.alpha_nlos, params.beta_clamp
+    )
 
 
 def _relax_dijkstra(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = len(d0)
     # CSR adjacency over the directed edges
     order = np.argsort(s, kind="stable")
     nbr = t[order].tolist()
     wgt = w[order].tolist()
-    starts = np.searchsorted(s[order], np.arange(n + 1)).tolist()
+    starts = np.searchsorted(s[order], np.arange(len(d0) + 1)).tolist()
     d = d0.tolist()
     heap = [(di, i) for i, di in enumerate(d)]
     heapq.heapify(heap)
-    settled = [False] * n
+    # weights are non-negative: a node's one entry costing d[i] is its only live one
     while heap:
         di, i = heapq.heappop(heap)
-        if settled[i] or di > d[i]:
+        if di > d[i]:
             continue
-        settled[i] = True
         for e in range(starts[i], starts[i + 1]):
             j = nbr[e]
             nd = di + wgt[e]
@@ -414,39 +400,27 @@ def subsample_order(n_side: int) -> OrderPi:
 # pathloss-ranked orders
 
 
-def _patch_scores(values: np.ndarray, n_side: int) -> np.ndarray:
+def _pl_order(values: np.ndarray, patches: PatchGrid | int, kind: str) -> OrderPi:
+    """Patches by mean value, strongest (largest signed dB) first, like the wavefront."""
+    n_side = patches if isinstance(patches, int) else patches.n_side
     h_px = values.shape[0]
     if values.shape[0] != values.shape[1] or h_px % n_side != 0:
         raise ValidationError(
             f"{values.shape} grid does not cover a {n_side}x{n_side} patch grid"
         )
     k = h_px // n_side
-    return values.reshape(n_side, k, n_side, k).mean(axis=(1, 3)).ravel()
+    scores = values.reshape(n_side, k, n_side, k).mean(axis=(1, 3)).ravel()
+    return OrderPi(_argsort_by_cost(-scores), kind)
 
 
-def _rank_by_signal(scores: np.ndarray, kind: str, strongest_first: bool) -> OrderPi:
-    # signed-dB convention: larger value = stronger signal; strongest first
-    # mirrors the wavefront starting at the transmitter
-    key = -scores if strongest_first else scores
-    return OrderPi(np.argsort(key, kind="stable"), kind)
-
-
-def prior_pl_order(
-    anchor: RadioField, patches: PatchGrid | int, strongest_first: bool = True
-) -> OrderPi:
+def prior_pl_order(anchor: RadioField, patches: PatchGrid | int) -> OrderPi:
     """Rank patches by mean anchor value, strongest signal first."""
-    n_side = patches if isinstance(patches, int) else patches.n_side
-    scores = _patch_scores(anchor.slice(0), n_side)
-    return _rank_by_signal(scores, "priorPL", strongest_first)
+    return _pl_order(anchor.slice(0), patches, "priorPL")
 
 
-def true_pl_order(
-    fld: RadioField, patches: PatchGrid | int, strongest_first: bool = True
-) -> OrderPi:
+def true_pl_order(fld: RadioField, patches: PatchGrid | int) -> OrderPi:
     """Oracle order: rank patches by the ground-truth field (z-mean)."""
-    n_side = patches if isinstance(patches, int) else patches.n_side
-    scores = _patch_scores(fld.values.mean(axis=0), n_side)
-    return _rank_by_signal(scores, "truePL", strongest_first)
+    return _pl_order(fld.values.mean(axis=0), patches, "truePL")
 
 
 def euclidean_order(scene: Scene, patches: PatchGrid) -> OrderPi:
@@ -472,23 +446,26 @@ def sample_training_order(rng, orders) -> OrderPi:
 @dataclass(frozen=True)
 class ContainmentReport:
     holds: bool
-    violations: list  # (patch, ancestor, patch_step, ancestor_step)
+    # (patch, predecessor, patch_step, predecessor_step) for each patch
+    # generated no later than its own predecessor, in ascending patch order
+    violations: list
 
 
 def verify_predecessor_containment(order: OrderPi, costs: CostField) -> ContainmentReport:
     """Check that each patch's predecessor chain precedes it in the order.
 
-    Walks the chain from every patch back to the source and reports each
-    chain member generated at a later step than the patch itself.
+    A chain precedes its patch exactly when every link i -> pred[i] does
+    (by induction along the chain), so one pass over the links decides it.
+    A self-loop or a cycle in pred always leaves some link violated.
     """
     if len(order) != len(costs.d):
         raise ValidationError("order and cost field cover different patch grids")
     pos = order.positions()
-    violations = []
-    for i in range(len(order)):
-        for j in costs.chain(i):
-            if pos[j] > pos[i]:
-                violations.append((i, j, int(pos[i]), int(pos[j])))
+    patch = np.flatnonzero(costs.pred != NO_PRED)
+    pred = costs.pred[patch]
+    bad = pos[pred] >= pos[patch]
+    rows = np.column_stack([patch, pred, pos[patch], pos[pred]])[bad]
+    violations = [tuple(r) for r in rows.tolist()]
     return ContainmentReport(not violations, violations)
 
 

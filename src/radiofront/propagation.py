@@ -15,6 +15,7 @@ from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
+CHUNK_RAYS = 2048  # rays sampled per batch in blockage_ratio_batch
 
 # single-channel dB field over the pixel grid at receiver height
 AnchorMap = RadioField
@@ -66,7 +67,6 @@ def blockage_ratio_batch(
     resolution: float,
     a: np.ndarray,
     b: np.ndarray,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Blocked fraction of each direct segment a[i] -> b[i].
 
@@ -83,8 +83,8 @@ def blockage_ratio_batch(
     lengths = np.linalg.norm(vec, axis=1)
     counts = _sample_counts(lengths, resolution)
     beta = np.empty(len(a), dtype=np.float64)
-    for lo in range(0, len(a), chunk):
-        hi = min(lo + chunk, len(a))
+    for lo in range(0, len(a), CHUNK_RAYS):
+        hi = min(lo + CHUNK_RAYS, len(a))
         k = counts[lo:hi]
         k_max = int(k.max())
         # (P, k_max) fractional positions; entries beyond K_i are masked out

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +30,18 @@ def city(tmp_path):
     path = tmp_path / "city.rgf"
     save_grid(HeightMap(heights, 1.0), path)
     return path
+
+
+def rgf1(tag, values, resolution=1.0):
+    """RGF1 bytes written by hand, so invalid grids can be stored too."""
+    values = np.asarray(values, dtype="<f4")
+    depth, height, width = values.shape
+    return b"RGF1" + struct.pack("<BIIIf", tag, width, height, depth, resolution) + values.tobytes()
+
+
+def ltr1(logits):
+    logits = np.asarray(logits, dtype="<f4")
+    return b"LTR1" + struct.pack("<II", *logits.shape) + logits.tobytes()
 
 
 def tx_flags(city):
@@ -324,11 +337,12 @@ class TestReaderErrors:
             ("synth", "footprint_range=3,x", "cfg.txt: footprint_range: invalid literal for int()"),
             ("order", "verify=maybe", "cfg.txt: verify: 'maybe' is not true or false"),
             ("entropy", "order=o.json", "cfg.txt: order: a repeatable option is given as a flag only"),
+            ("order", "# ok\nalpha_los=\xff", "cfg.txt: line 2: not UTF-8 text"),
         ],
     )
     def test_bad_config_value(self, tmp_path, city, capsys, command, line, needle):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(line + "\n")
+        cfg.write_text(line + "\n", encoding="latin-1")
         argv = {
             "order": [*tx_flags(city), "--out", str(tmp_path / "o.json")],
             "synth": ["--out-dir", str(tmp_path / "s"), "--side-px", "32"],
@@ -347,6 +361,32 @@ class TestReaderErrors:
         ],
     )
     def test_bad_flag(self, capsys, argv, needle):
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize(
+        "payload, argv, needle",
+        [
+            (rgf1(1, [[[-60.0, np.nan], [-70.0, -80.0]]]),
+             ["metrics", "--pred", "bad", "--gt", "good", "--report", "r.csv"],
+             "error: bad: radio field contains NaN or infinite values"),
+            (rgf1(1, np.zeros((1, 2, 0))),
+             ["metrics", "--pred", "good", "--gt", "bad", "--report", "r.csv"],
+             "error: bad: radio field has no cells"),
+            (rgf1(0, np.zeros((1, 32, 32)), resolution=np.inf),
+             ["order", "--heightmap", "bad", "--tx-x", "5.5", "--tx-y", "9.5", "--out", "o.json"],
+             "error: bad: resolution must be finite and positive"),
+            (ltr1([[0.0, np.inf, 1.0]]), ["entropy", "--trace", "bad"],
+             "error: bad: trace contains NaN or infinite logits"),
+            (ltr1(np.zeros((0, 3))), ["entropy", "--trace", "bad"],
+             "error: bad: trace logits must be (n_steps, vocab) with both >= 1"),
+        ],
+        ids=["nan-cell", "no-cells", "inf-resolution", "inf-logit", "no-steps"],
+    )
+    def test_invalid_binary_payload(self, tmp_path, monkeypatch, capsys, payload, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(payload)
+        save_grid(RadioField(np.full((1, 2, 2), -75.0), UNIT_DB), tmp_path / "good")
         assert main(argv) == 1
         self.assert_one_error_line(capsys, needle)
 

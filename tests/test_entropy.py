@@ -1,6 +1,7 @@
 """Step entropy, profiles, delta-H maps, and exact joint-distribution tools."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,15 @@ class TestTraceIO:
             save_trace(trace, tmp_path / f"t{i}.ltr")
             back = load_trace(tmp_path / f"t{i}.ltr")
             assert np.array_equal(back.logits, trace.logits)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_trace_without_steps_or_vocab(self, tmp_path, shape):
+        with pytest.raises(ValidationError, match="n_steps, vocab"):
+            LogitTrace(np.zeros(shape))
+        p = tmp_path / "empty.ltr"
+        p.write_bytes(b"LTR1" + np.array(shape, dtype="<u4").tobytes())
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{p}: trace logits")):
+            load_trace(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ltr"

@@ -119,6 +119,20 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             HeightMap([[0.0]], 0.0)
 
+    @pytest.mark.parametrize("resolution", [np.inf, np.nan])
+    def test_non_finite_resolution(self, resolution):
+        with pytest.raises(ValidationError, match="resolution"):
+            HeightMap([[0.0]], resolution)
+        with pytest.raises(ValidationError, match="resolution"):
+            RadioField([[-80.0]], UNIT_DB, resolution)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_grid_without_cells(self, shape):
+        with pytest.raises(ValidationError, match="no cells"):
+            HeightMap(np.zeros(shape), 1.0)
+        with pytest.raises(ValidationError, match="no cells"):
+            RadioField(np.zeros(shape), UNIT_DB)
+
     def test_normalized_range_enforced(self):
         with pytest.raises(ValidationError):
             RadioField(np.full((1, 2, 2), 1.5), UNIT_NORM01)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from radiofront import (
+    CityParams,
+    CostField,
     HeightMap,
     OrderParams,
     OrderPi,
@@ -16,6 +18,7 @@ from radiofront import (
     anchor_map,
     bruteforce_costs,
     euclidean_order,
+    gen_scene,
     hilbert_order,
     init_costs,
     load_order,
@@ -30,7 +33,7 @@ from radiofront import (
     zcurve_order,
 )
 from radiofront.grids import RadioField, UNIT_DB, ValidationError
-from radiofront.ordering import edge_weights, save_costs_csv
+from radiofront.ordering import NO_PRED, edge_weights, save_costs_csv
 
 
 def flat_scene(side_px=24, res=1.0, tx=(4.0, 12.0), z_tx=1.5):
@@ -261,12 +264,6 @@ class TestPathlossOrders:
         flat = RadioField(vals.mean(axis=0, keepdims=True), UNIT_DB)
         assert np.array_equal(got, true_pl_order(flat, 2).perm)
 
-    def test_weakest_first_flag(self):
-        anchor = RadioField(np.array([[[-50.0, -120.0], [-80.0, -100.0]]]), UNIT_DB)
-        strongest = prior_pl_order(anchor, 2).perm
-        weakest = prior_pl_order(anchor, 2, strongest_first=False).perm
-        assert np.array_equal(strongest, weakest[::-1])
-
 
 def anchor_at_patch_centers(scene, patches):
     """Anchor resampled so that each patch holds one pixel at its center."""
@@ -277,7 +274,64 @@ def anchor_at_patch_centers(scene, patches):
     return anchor_map(coarse)
 
 
+def chain_walk(costs, i):
+    """Predecessor chain of patch i, followed link by link (acyclic pred only)."""
+    out, j = [], int(costs.pred[i])
+    while j != NO_PRED:
+        out.append(j)
+        j = int(costs.pred[j])
+    return out
+
+
+def containment_cases():
+    """(order, costs) over wall and random-city cost fields: wavefront, raster,
+    Hilbert where the grid side is a power of two, and random permutations."""
+    rng = np.random.default_rng(43)
+    grids = [(wall_scene(), 6), (wall_scene(), 8)] + [
+        (gen_scene(CityParams(side_px=64, n_buildings=6, footprint_range=(6, 14), seed=s)), 8)
+        for s in range(6)
+    ]
+    for sc, patch_px in grids:
+        pg = PatchGrid.for_scene(sc, patch_px=patch_px)
+        wave, costs = wavefront_order(sc, pg)
+        orders = [wave, raster_order(pg.n_side)]
+        if pg.n_side & (pg.n_side - 1) == 0:
+            orders.append(hilbert_order(pg.n_side))
+        orders += [OrderPi(rng.permutation(pg.n_patches)) for _ in range(4)]
+        for order in orders:
+            yield order, costs
+
+
 class TestContainment:
+    def test_matches_chain_walk_and_per_edge_list(self):
+        verdicts = set()
+        for order, costs in containment_cases():
+            pos = order.positions()
+            report = verify_predecessor_containment(order, costs)
+            holds = all(pos[j] < pos[i] for i in range(len(order)) for j in chain_walk(costs, i))
+            per_edge = [
+                (i, int(p), int(pos[i]), int(pos[p]))
+                for i, p in enumerate(costs.pred)
+                if p != NO_PRED and pos[p] >= pos[i]
+            ]
+            assert report.holds == holds
+            assert report.violations == per_edge
+            verdicts.add(holds)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "pred, violations",
+        [
+            ([NO_PRED, 1, 0, 0], [(1, 1, 1, 1)]),  # self-loop
+            ([NO_PRED, 2, 1, 0], [(1, 2, 1, 2)]),  # 2-cycle
+        ],
+    )
+    def test_cyclic_pred_is_a_violation(self, pred, violations):
+        costs = CostField(np.arange(4.0), pred, 0)
+        report = verify_predecessor_containment(raster_order(2), costs)
+        assert not report.holds
+        assert report.violations == violations
+
     def test_wavefront_always_holds(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

@@ -10,15 +10,20 @@ from hypothesis import given, settings, strategies as st
 from radiofront import (
     GridFormatError,
     HeightMap,
+    LogitTrace,
     RadioField,
     UNIT_DB,
     UNIT_METERS,
     ValidationError,
     grid_from_csv,
     grid_to_csv,
+    load_grid,
     load_order,
+    load_trace,
     raster_order,
+    save_grid,
     save_order,
+    save_trace,
 )
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -33,6 +38,7 @@ def _valid_bytes(write) -> bytes:
 
 FIELD = RadioField(np.random.default_rng(0).uniform(-120, -50, (2, 2, 3)), UNIT_DB)
 HEIGHTS = HeightMap(np.random.default_rng(1).uniform(0, 20, (3, 2)), 1.0)
+TRACE = LogitTrace(np.random.default_rng(2).normal(size=(3, 4)))
 READERS = {  # name -> (reader, bytes of a valid file)
     "csv_db": (lambda p: grid_from_csv(p, unit=UNIT_DB), _valid_bytes(lambda p: grid_to_csv(FIELD, p))),
     "csv_meters": (
@@ -40,6 +46,8 @@ READERS = {  # name -> (reader, bytes of a valid file)
         _valid_bytes(lambda p: grid_to_csv(HEIGHTS, p)),
     ),
     "order": (load_order, _valid_bytes(lambda p: save_order(raster_order(3), p))),
+    "rgf": (load_grid, _valid_bytes(lambda p: save_grid(FIELD, p))),
+    "ltr": (load_trace, _valid_bytes(lambda p: save_trace(TRACE, p))),
 }
 
 
