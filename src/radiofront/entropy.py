@@ -33,6 +33,18 @@ def shannon_entropy(p) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _entropies(logits: np.ndarray, base2: bool) -> np.ndarray:
+    """Softmax entropy of each row of finite (n, vocab) logits."""
+    # C order: numpy sums Fortran-ordered rows in another order than 1D vectors
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), order="C")
+    p = np.exp(z)
+    total = p.sum(axis=1)
+    p /= total[:, np.newaxis]
+    p *= z
+    h = np.clip(np.log(total) - p.sum(axis=1), 0.0, np.log(z.shape[1]))
+    return h / LN2 if base2 else h
+
+
 def step_entropy(logits, base2: bool = False) -> float:
     """Shannon entropy of softmax(logits), numerically stable.
 
@@ -44,13 +56,7 @@ def step_entropy(logits, base2: bool = False) -> float:
         raise ValidationError("logits must be a non-empty 1D vector")
     if not np.all(np.isfinite(z)):
         raise ValidationError("logits contain NaN or infinite values")
-    z = z - z.max()
-    expz = np.exp(z)
-    total = expz.sum()
-    p = expz / total
-    h = float(np.log(total) - (p * z).sum())
-    h = min(max(h, 0.0), float(np.log(z.size)))
-    return h / LN2 if base2 else h
+    return float(_entropies(z[np.newaxis], base2)[0])
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class LogitTrace:
         return self.logits.shape[1]
 
     def step_entropies(self, base2: bool = False) -> np.ndarray:
-        return np.array([step_entropy(z, base2) for z in self.logits])
+        return _entropies(self.logits, base2)
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,8 @@ def delta_h_map(trace_a: LogitTrace, trace_b: LogitTrace, base2: bool = False) -
     if trace_a.n_steps != trace_b.n_steps:
         raise ValidationError("traces cover different patch grids")
     n_side = trace_a.order.n_side
-    h_a = np.empty(trace_a.n_steps)
-    h_b = np.empty(trace_b.n_steps)
-    h_a[trace_a.order.perm] = trace_a.step_entropies(base2)
-    h_b[trace_b.order.perm] = trace_b.step_entropies(base2)
+    h_a = trace_a.step_entropies(base2)[trace_a.order.positions()]
+    h_b = trace_b.step_entropies(base2)[trace_b.order.positions()]
     diff = (h_a - h_b).reshape(n_side, n_side)
     return DeltaHMap(diff, float(diff.mean()), float(diff.var()))
 
@@ -184,18 +188,21 @@ def _cond_entropy(m1: np.ndarray) -> float:
     return float(-terms.sum())
 
 
+def _step_conditionals(joint: JointDist, order, k: int) -> list[float]:
+    """H(x_order[n] | the last k tokens before step n) for each step n."""
+    order = [int(i) for i in (order.perm if isinstance(order, OrderPi) else order)]
+    if sorted(order) != list(range(joint.n_vars)):
+        raise ValidationError("order is not a permutation of the variables")
+    return [_cond_entropy(joint.marginal(tuple(order[max(0, n - k): n + 1])))
+            for n in range(len(order))]
+
+
 def exact_conditional_entropies(joint: JointDist, order) -> np.ndarray:
     """H(x_order[n] | x_order[<n]) for each step, by exact marginalization.
 
     Their sum equals the joint entropy for every order (chain rule).
     """
-    order = [int(i) for i in (order.perm if isinstance(order, OrderPi) else order)]
-    if sorted(order) != list(range(joint.n_vars)):
-        raise ValidationError("order is not a permutation of the variables")
-    out = np.empty(len(order))
-    for n in range(len(order)):
-        out[n] = _cond_entropy(joint.marginal(tuple(order[: n + 1])))
-    return out
+    return np.array(_step_conditionals(joint, order, joint.n_vars))
 
 
 def limited_context_entropy(joint: JointDist, order, k: int) -> float:
@@ -208,14 +215,10 @@ def limited_context_entropy(joint: JointDist, order, k: int) -> float:
     """
     if k < 0:
         raise ValidationError("context length k must be >= 0")
-    order = [int(i) for i in (order.perm if isinstance(order, OrderPi) else order)]
-    if sorted(order) != list(range(joint.n_vars)):
-        raise ValidationError("order is not a permutation of the variables")
     total = 0.0
-    for n in range(len(order)):
-        ctx = tuple(order[max(0, n - k): n])
-        total += _cond_entropy(joint.marginal(ctx + (order[n],)))
-    return total / len(order)
+    for h in _step_conditionals(joint, order, k):
+        total += h  # left to right: sum() compensates from Python 3.12 on
+    return total / joint.n_vars
 
 
 def build_shadow_joint(costs: CostField, eps: float = 0.1) -> JointDist:
@@ -267,4 +270,4 @@ def load_trace(path: str | Path, order: OrderPi | None = None) -> LogitTrace:
     try:
         return LogitTrace(logits.reshape(n_steps, vocab), order)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise GridFormatError(f"{path}: {exc}") from None

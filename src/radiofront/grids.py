@@ -41,12 +41,12 @@ NORM_HI_DB = -169.0
 _CSV_HEADER = ["x", "y", "z", "value"]
 
 
-class GridFormatError(ValueError):
-    """Malformed RGF1 payload: bad magic, bad tag, or truncated data."""
-
-
 class ValidationError(ValueError):
     """A grid or configuration violates its invariants."""
+
+
+class GridFormatError(ValidationError):
+    """A grid or trace file that does not hold a valid grid or trace."""
 
 
 def _check_grid(values: np.ndarray, resolution: float, what: str) -> None:
@@ -278,14 +278,14 @@ def load_grid(path: str | Path) -> HeightMap | RadioField:
     values = np.frombuffer(raw, dtype="<f4", offset=21).astype(np.float64)
     values = values.reshape(depth, height, width)
     unit = _TAG_UNITS[tag]
+    if unit == UNIT_METERS and depth != 1:
+        raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
     try:
         if unit == UNIT_METERS:
-            if depth != 1:
-                raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
             return HeightMap(values[0], float(resolution))
         return RadioField(values, unit, float(resolution))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise GridFormatError(f"{path}: {exc}") from None
 
 
 def grid_from_csv(

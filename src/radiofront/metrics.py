@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .entropy import shannon_entropy
 from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, normalize_db
@@ -74,7 +73,10 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
 
 
 def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # separable gaussian filtering, cropped to fully-valid window positions
+    # separable gaussian filtering, cropped to fully-valid window positions;
+    # imported here: scipy.ndimage is most of the package's import time
+    from scipy.ndimage import correlate1d
+
     out = correlate1d(img, kernel, axis=0, mode="constant")
     out = correlate1d(out, kernel, axis=1, mode="constant")
     r = len(kernel) // 2

@@ -146,6 +146,11 @@ class CostField:
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
         object.__setattr__(self, "pred", np.asarray(self.pred, dtype=np.int64))
+        n = len(self.d)
+        if len(self.pred) != n or np.any((self.pred < NO_PRED) | (self.pred >= n)):
+            raise ValidationError(f"pred must hold {n} entries, each {NO_PRED} or in [0, {n})")
+        if not 0 <= self.source < n:
+            raise ValidationError(f"source {self.source} outside [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -345,24 +350,20 @@ def _require_pow2(n_side: int, kind: str) -> None:
 def hilbert_order(n_side: int) -> OrderPi:
     """Hilbert space-filling curve visit order."""
     _require_pow2(n_side, "hilbert")
-    perm = np.empty(n_side * n_side, dtype=np.int64)
-    for d in range(n_side * n_side):
-        x = y = 0
-        t = d
-        s = 1
-        while s < n_side:
-            rx = 1 & (t // 2)
-            ry = 1 & (t ^ rx)
-            if ry == 0:
-                if rx == 1:
-                    x, y = s - 1 - x, s - 1 - y
-                x, y = y, x
-            x += s * rx
-            y += s * ry
-            t //= 4
-            s *= 2
-        perm[d] = y * n_side + x
-    return OrderPi(perm, "hilbert")
+    t = np.arange(n_side * n_side, dtype=np.int64)
+    x, y = np.zeros((2, t.size), dtype=np.int64)
+    s = 1
+    while s < n_side:
+        rx = 1 & (t // 2)
+        ry = 1 & (t ^ rx)
+        flip = (ry == 0) & (rx == 1)
+        x, y = np.where(flip, s - 1 - x, x), np.where(flip, s - 1 - y, y)
+        x, y = np.where(ry == 0, y, x), np.where(ry == 0, x, y)
+        x += s * rx
+        y += s * ry
+        t //= 4
+        s *= 2
+    return OrderPi(y * n_side + x, "hilbert")
 
 
 def zcurve_order(n_side: int) -> OrderPi:
@@ -380,20 +381,13 @@ def zcurve_order(n_side: int) -> OrderPi:
 
 def subsample_order(n_side: int) -> OrderPi:
     """Coarse-to-fine strided passes: stride n/2, n/4, ... 1, skipping visits."""
-    seen = np.zeros(n_side * n_side, dtype=bool)
-    out = []
-    stride = max(1, n_side // 2)
-    while True:
-        for r in range(0, n_side, stride):
-            for c in range(0, n_side, stride):
-                i = r * n_side + c
-                if not seen[i]:
-                    seen[i] = True
-                    out.append(i)
-        if stride == 1:
-            break
-        stride //= 2
-    return OrderPi(np.array(out), "subsample")
+    strides = [max(1, n_side // 2)]
+    while strides[-1] > 1:
+        strides.append(strides[-1] // 2)
+    r, c = np.divmod(np.arange(n_side * n_side), n_side)
+    # a patch is visited in the first pass whose stride divides both r and c
+    first = np.argmax([(r % s == 0) & (c % s == 0) for s in strides], axis=0)
+    return OrderPi(np.lexsort((c, r, first)), "subsample")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +496,5 @@ def load_order(path: str | Path) -> OrderPi:
 
 def save_costs_csv(costs: CostField, path: str | Path) -> None:
     """Cost dump: one ``patch_index,D,pred`` row per patch."""
-    lines = ["patch_index,D,pred"]
-    for i, (d, p) in enumerate(zip(costs.d, costs.pred)):
-        lines.append(f"{i},{float(d)!r},{int(p)}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = (f"{i},{d!r},{p}" for i, (d, p) in enumerate(zip(costs.d.tolist(), costs.pred.tolist())))
+    atomic_write(path, "\n".join(["patch_index,D,pred", *rows]) + "\n")

@@ -59,7 +59,10 @@ def link_threshold(tx: TxConfig) -> LinkBudget:
 
 def _sample_counts(lengths: np.ndarray, resolution: float) -> np.ndarray:
     """One sample per pixel-length of ray, at least two."""
-    return np.maximum(2, np.ceil(lengths / resolution).astype(np.int64))
+    counts = np.ceil(lengths / resolution)
+    if np.any(counts >= 2.0**63):
+        raise ValidationError(f"resolution {resolution!r} m asks for over 2**63 samples on one ray")
+    return np.maximum(2, counts.astype(np.int64))
 
 
 def blockage_ratio_batch(
@@ -73,8 +76,9 @@ def blockage_ratio_batch(
     a, b: (P, 3) endpoint arrays in meters.  K_i = max(2, ceil(len_i / res))
     midpoint samples are placed uniformly along each segment; a sample is
     blocked when its interpolated z lies below the building height at its
-    ground-plane pixel.  Midpoint placement makes the ratio exactly
-    symmetric in endpoint order.
+    ground-plane pixel.  Swapping a and b visits the same positions, but a
+    sample exactly on a pixel edge may round into the other pixel, so the
+    ratio is symmetric in endpoint order only up to such samples.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB
 from .propagation import anchor_volume
@@ -127,15 +126,14 @@ def gen_field(
     map at every receiver slice.  clamp=(top, bottom) clips to a dataset's
     pathloss range.
     """
-    rng = np.random.default_rng(seed)
-    slices = []
-    for v in anchor_volume(scene).values:
-        if smooth_sigma > 0:
-            v = gaussian_filter(v, sigma=smooth_sigma, mode="nearest")
-        if noise_sigma > 0:
-            v = v + rng.normal(0.0, noise_sigma, size=v.shape)
-        slices.append(v)
-    values = np.stack(slices)
+    values = anchor_volume(scene).values
+    if smooth_sigma > 0:
+        # imported here: scipy.ndimage is most of the package's import time
+        from scipy.ndimage import gaussian_filter
+
+        values = gaussian_filter(values, sigma=(0, smooth_sigma, smooth_sigma), mode="nearest")
+    if noise_sigma > 0:
+        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
     if clamp is not None:
         top, bottom = max(clamp), min(clamp)
         values = np.clip(values, bottom, top)

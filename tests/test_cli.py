@@ -1,11 +1,16 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radiofront
 from radiofront import (
     HeightMap,
     LogitTrace,
@@ -390,6 +395,16 @@ class TestReaderErrors:
         assert main(argv) == 1
         self.assert_one_error_line(capsys, needle)
 
+    def test_resolution_too_fine_to_sample(self, tmp_path, capsys):
+        hm = tmp_path / "fine.rgf"
+        hm.write_bytes(rgf1(0, np.zeros((1, 2, 2)), resolution=1e-30))
+        rc = main(
+            ["anchor", "--heightmap", str(hm), "--tx-x", "0", "--tx-y", "0", "--tx-z", "3",
+             "--out", str(tmp_path / "a.rgf")]
+        )
+        assert rc == 1
+        self.assert_one_error_line(capsys, "samples on one ray")
+
     def test_malformed_order_file(self, tmp_path, capsys):
         save_trace(LogitTrace(np.zeros((4, 3))), tmp_path / "t.ltr")
         (tmp_path / "o.json").write_text('{"kind":"raster","perm":[0,1,2,3]}')
@@ -406,6 +421,20 @@ class TestReaderErrors:
         )
         assert rc == 1
         self.assert_one_error_line(capsys, "hm.csv: line 2")
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # only smoothing and SSIM filter; every other command skips scipy.ndimage's import time
+    src = Path(radiofront.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = "import sys, radiofront.cli; print('scipy.ndimage' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.stdout.strip() == "False", run.stderr
 
 
 class TestSelftestCommand:

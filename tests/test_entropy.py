@@ -26,6 +26,7 @@ from radiofront import (
     step_entropy,
     wavefront_order,
 )
+from radiofront.entropy import LN2, _cond_entropy
 from radiofront.ordering import CostField
 
 
@@ -38,6 +39,27 @@ def binary_entropy(eps):
 def random_joint(rng, n_vars, n_symbols=2):
     p = rng.random((n_symbols,) * n_vars)
     return JointDist(p / p.sum())
+
+
+def step_entropy_oracle(z, base2=False):
+    """Softmax entropy of one 1D logit row, one numpy call at a time."""
+    z = np.asarray(z, dtype=np.float64)
+    z = z - z.max()
+    expz = np.exp(z)
+    total = expz.sum()
+    p = expz / total
+    h = float(np.log(total) - (p * z).sum())
+    h = min(max(h, 0.0), float(np.log(z.size)))
+    return h / LN2 if base2 else h
+
+
+def limited_context_oracle(joint, order, k):
+    """Per-step conditionals on the last k tokens, added left to right."""
+    total = 0.0
+    for n in range(len(order)):
+        ctx = tuple(order[max(0, n - k): n])
+        total += _cond_entropy(joint.marginal(ctx + (order[n],)))
+    return total / len(order)
 
 
 class TestStepEntropy:
@@ -76,6 +98,26 @@ class TestStepEntropy:
             step_entropy(np.array([0.0, np.nan]))
         with pytest.raises(ValidationError):
             step_entropy(np.array([0.0, np.inf]))
+
+
+class TestStepEntropiesOracle:
+    """Whole-trace entropies equal the one-row oracle bit for bit."""
+
+    @pytest.mark.parametrize("base2", [False, True])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_rows_match_oracle(self, layout, base2):
+        rng = np.random.default_rng(23)
+        for shape in [(1, 1), (6, 1), (1, 40), (37, 53), (64, 1024), (1024, 64)]:
+            big = rng.normal(scale=rng.uniform(0.1, 20.0), size=(2 * shape[0], 3 * shape[1]))
+            z = {
+                "C": np.ascontiguousarray(big[: shape[0], : shape[1]]),
+                "F": np.asfortranarray(big[: shape[0], : shape[1]]),
+                "strided": big[::2, ::3],
+            }[layout]
+            trace = LogitTrace(z)
+            expected = np.array([step_entropy_oracle(row, base2) for row in z])
+            assert np.array_equal(trace.step_entropies(base2), expected)
+            assert step_entropy(z[-1], base2) == expected[-1]
 
 
 def uniform_block_logits(n_steps, vocab, active):
@@ -182,6 +224,16 @@ class TestLimitedContext:
             assert limited_context_entropy(joint, order, k) == pytest.approx(
                 exact_mean, abs=1e-12
             )
+
+    def test_adds_steps_left_to_right(self):
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            joint = random_joint(rng, 9)
+            order = [int(i) for i in rng.permutation(9)]
+            for k in range(10):
+                assert limited_context_entropy(joint, order, k) == limited_context_oracle(
+                    joint, order, k
+                )
 
     def test_independent_vars_insensitive(self):
         probs = np.full((2, 2, 2), 1 / 8)

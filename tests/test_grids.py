@@ -1,11 +1,15 @@
 """Grid types, RGF1 round-trips, transmitter rasterization, normalization."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from radiofront import (
     GridFormatError,
     HeightMap,
+    LogitTrace,
     RadioField,
     RxConfig,
     Scene,
@@ -18,9 +22,11 @@ from radiofront import (
     grid_from_csv,
     grid_to_csv,
     load_grid,
+    load_trace,
     normalize_db,
     rasterize_tx,
     save_grid,
+    save_trace,
 )
 from radiofront.grids import atomic_write
 
@@ -257,6 +263,47 @@ class TestCsv:
         p.write_bytes(b"x,y,z,value\n0,0,0,1.0\xff\n")
         with pytest.raises(GridFormatError, match="latin.csv: not UTF-8"):
             grid_from_csv(p)
+
+
+NAN_F32 = np.array([np.nan], dtype="<f4").tobytes()
+
+
+def write_nan_rgf(p):
+    save_grid(RadioField(np.full((1, 2, 2), -75.0), UNIT_DB), p)
+    p.write_bytes(p.read_bytes()[:-4] + NAN_F32)
+
+
+def write_nan_ltr(p):
+    save_trace(LogitTrace(np.zeros((2, 3))), p)
+    p.write_bytes(p.read_bytes()[:-4] + NAN_F32)
+
+
+def write_nan_csv(p):
+    p.write_text("x,y,z,value\n0,0,0,-75.0\n1,0,0,nan\n")
+
+
+class TestFileErrors:
+    """Every reader reports an invalid file as a GridFormatError naming it."""
+
+    @pytest.mark.parametrize(
+        "name, write, read",
+        [
+            ("nan.rgf", write_nan_rgf, load_grid),
+            ("nan.ltr", write_nan_ltr, load_trace),
+            ("nan.csv", write_nan_csv, grid_from_csv),
+        ],
+    )
+    def test_nan_cell(self, tmp_path, name, write, read):
+        p = tmp_path / name
+        write(p)
+        with pytest.raises(GridFormatError, match="^" + re.escape(f"{p}: ")):
+            read(p)
+
+    def test_format_error_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "deep.rgf"
+        p.write_bytes(b"RGF1" + struct.pack("<BIIIf", 0, 1, 1, 2, 1.0) + bytes(8))
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{p}: height map must")):
+            load_grid(p)
 
 
 class TestAtomicWrite:

@@ -1,6 +1,7 @@
 """Wavefront relaxation, geometric orders, PL ranking, containment checks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,46 @@ class TestBruteforceOracle:
         assert np.array_equal(bf.d, [0.0])
 
 
+def hilbert_oracle(n_side):
+    """Hilbert visit order, one curve index at a time."""
+    perm = np.empty(n_side * n_side, dtype=np.int64)
+    for d in range(n_side * n_side):
+        x = y = 0
+        t = d
+        s = 1
+        while s < n_side:
+            rx = 1 & (t // 2)
+            ry = 1 & (t ^ rx)
+            if ry == 0:
+                if rx == 1:
+                    x, y = s - 1 - x, s - 1 - y
+                x, y = y, x
+            x += s * rx
+            y += s * ry
+            t //= 4
+            s *= 2
+        perm[d] = y * n_side + x
+    return perm
+
+
+def subsample_oracle(n_side):
+    """Strided passes n/2, n/4, ... 1 over the grid, skipping patches already visited."""
+    seen = np.zeros(n_side * n_side, dtype=bool)
+    out = []
+    stride = max(1, n_side // 2)
+    while True:
+        for r in range(0, n_side, stride):
+            for c in range(0, n_side, stride):
+                i = r * n_side + c
+                if not seen[i]:
+                    seen[i] = True
+                    out.append(i)
+        if stride == 1:
+            break
+        stride //= 2
+    return np.array(out)
+
+
 class TestGeometricOrders:
     def test_raster_2(self):
         assert np.array_equal(raster_order(2).perm, [0, 1, 2, 3])
@@ -206,6 +247,14 @@ class TestGeometricOrders:
             subsample_order(4).perm,
             [0, 2, 8, 10, 1, 3, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15],
         )
+
+    @pytest.mark.parametrize("n_side", [1, 2, 4, 8, 16, 32, 64, 128])
+    def test_hilbert_matches_oracle(self, n_side):
+        assert np.array_equal(hilbert_order(n_side).perm, hilbert_oracle(n_side))
+
+    def test_subsample_matches_oracle(self):
+        for n_side in range(1, 70):
+            assert np.array_equal(subsample_order(n_side).perm, subsample_oracle(n_side))
 
     def test_alternative_serpentine(self):
         assert np.array_equal(alternative_order(3).perm, [0, 1, 2, 5, 4, 3, 6, 7, 8])
@@ -331,6 +380,20 @@ class TestContainment:
         report = verify_predecessor_containment(raster_order(2), costs)
         assert not report.holds
         assert report.violations == violations
+
+    @pytest.mark.parametrize(
+        "pred, source, needle",
+        [
+            ([NO_PRED, -2, 0, 0], 0, "each -1 or in [0, 4)"),
+            ([NO_PRED, 4, 0, 0], 0, "each -1 or in [0, 4)"),
+            ([NO_PRED, 0, 0], 0, "pred must hold 4 entries"),
+            ([NO_PRED, 0, 0, 0], 4, "source 4 outside [0, 4)"),
+            ([NO_PRED, 0, 0, 0], -1, "source -1 outside [0, 4)"),
+        ],
+    )
+    def test_pred_and_source_range_checked(self, pred, source, needle):
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            CostField(np.arange(4.0), pred, source)
 
     def test_wavefront_always_holds(self):
         rng = np.random.default_rng(31)

@@ -1,6 +1,7 @@
 """Free-space pathloss, link budget, blockage ratio, anchor map."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from radiofront import (
     HeightMap,
     Scene,
     TxConfig,
+    ValidationError,
     anchor_map,
     blockage_ratio,
     fspl,
@@ -125,6 +127,14 @@ class TestBlockageRatio:
         low = blockage_ratio(hm, (1.0, 10.0, 1.0), (19.0, 10.0, 1.0))
         climbing = blockage_ratio(hm, (1.0, 10.0, 1.0), (19.0, 10.0, 25.0))
         assert climbing < low
+
+
+class TestSampleCounts:
+    def test_overflowing_count_names_the_resolution(self):
+        hm = HeightMap(np.zeros((2, 2)), 1e-30)
+        sc = Scene(hm, TxConfig(0.0, 0.0, 3.0))
+        with pytest.raises(ValidationError, match=re.escape("resolution 1e-30 m")):
+            anchor_map(sc)
 
 
 class TestAnchorMap:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from radiofront import (
     CityParams,
@@ -27,6 +28,23 @@ from radiofront import (
     rasterize_tx,
     true_pl_order,
 )
+
+
+def gen_field_oracle(scene, noise_sigma=0.0, seed=0, smooth_sigma=0.0, clamp=None):
+    """Pseudo ground truth built one receiver slice at a time."""
+    rng = np.random.default_rng(seed)
+    slices = []
+    for z in scene.rx.slice_heights():
+        v = anchor_map(scene, z=z).slice(0)
+        if smooth_sigma > 0:
+            v = gaussian_filter(v, sigma=smooth_sigma, mode="nearest")
+        if noise_sigma > 0:
+            v = v + rng.normal(0.0, noise_sigma, size=v.shape)
+        slices.append(v)
+    values = np.stack(slices)
+    if clamp is not None:
+        values = np.clip(values, min(clamp), max(clamp))
+    return values
 
 
 class TestGenCity:
@@ -143,6 +161,20 @@ class TestGenField:
         for k, z in enumerate(sc.rx.slice_heights()):
             v = anchor_map(sc, z=z).slice(0)
             assert np.array_equal(fld.values[k], v + rng.normal(0.0, 3.0, size=v.shape))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(smooth_sigma=1.3),
+            dict(noise_sigma=3.0, seed=4),
+            dict(noise_sigma=2.0, smooth_sigma=0.7, seed=13, clamp=(-75.0, -111.0)),
+            dict(noise_sigma=6.0, smooth_sigma=2.5, seed=2, clamp=(-47.0, -147.0)),
+        ],
+    )
+    def test_matches_per_slice_oracle(self, kw):
+        for n_z in (1, 3):
+            sc = self.scene(n_z=n_z)
+            assert np.array_equal(gen_field(sc, **kw).values, gen_field_oracle(sc, **kw))
 
     def test_true_pl_order_links_to_euclidean(self):
         # pixel-sized patches with the tx at a pixel center make the mean
