@@ -50,7 +50,7 @@ raster_report = verify_predecessor_containment(raster_order(patches.n_side), cos
 print(f"raster containment: holds={raster_report.holds}, "
       f"{len(raster_report.violations)} violations, e.g. {raster_report.violations[0]}")
 
-# the heap relaxation agrees with plain Bellman-Ford to the last bit
+# the frontier relaxation agrees with the full Bellman-Ford sweep to the last bit
 oracle = bruteforce_costs(scene, patches)
 print(f"bellman-ford agreement: {np.array_equal(oracle.d, costs.d)}")
 

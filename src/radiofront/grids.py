@@ -325,6 +325,8 @@ def grid_from_csv(
     reject_first(~np.isfinite(vals), "value is not finite")
     if unit == UNIT_METERS:
         reject_first(vals < 0, "building height is negative")
+    if unit == UNIT_NORM01:
+        reject_first((vals < 0) | (vals > 1), "normalized value outside [0, 1]")
     if min(min(xs), min(ys), min(zs)) < 0:
         reject_first(np.array([min(r[:3]) < 0 for r in rows]), "negative cell index")
     width, height, depth = max(xs) + 1, max(ys) + 1, max(zs) + 1

@@ -1,18 +1,18 @@
 """Generation-order construction over a patch grid.
 
 The wavefront order ranks map patches by blockage-weighted shortest-path
-cost from the transmitter: every patch starts with a direct-path cost and a
-Dijkstra-style relaxation over the 8-connected patch graph lets shadowed
-patches reach lower costs through detours.  Sorting the final costs (ties
-broken by ascending patch index) yields a permutation in which every patch
-comes after its predecessor, so each prefix contains the patch's entire
+cost from the transmitter: every patch starts with a direct-path cost and
+relaxation over the 8-connected patch graph lets shadowed patches reach
+lower costs through detours.  Sorting the final costs (ties broken by
+ascending patch index) yields a permutation in which every patch comes
+after its predecessor, so each prefix contains the patch's entire
 lowest-cost predecessor chain.
 
-Predecessor rule, shared by the Dijkstra solver and the Bellman-Ford oracle:
-a patch whose relaxed cost beats its direct-path cost points at the tight
-neighbour s (d[s] + w(s, i) == d[i]) with the smallest (d[s], s), which is
-the neighbour a (cost, index) heap settles first; every other patch keeps
-its direct-path predecessor, the source.
+Predecessor rule, shared by the wavefront solver and the Bellman-Ford
+oracle: a patch whose relaxed cost beats its direct-path cost points at the
+tight neighbour s (d[s] + w(s, i) == d[i]) that comes first in (cost, index)
+order, i.e. the smallest (d[s], s); every other patch keeps its direct-path
+predecessor, the source.
 
 Also provided: the geometric scan orders (raster, hilbert, z-curve,
 subsample, serpentine), pathloss-ranked orders, a Bellman-Ford oracle, and
@@ -21,7 +21,6 @@ the predecessor-containment verifier.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,27 +240,17 @@ def edge_weights(
     )
 
 
-def _relax_dijkstra(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # CSR adjacency over the directed edges
-    order = np.argsort(s, kind="stable")
-    nbr = t[order].tolist()
-    wgt = w[order].tolist()
-    starts = np.searchsorted(s[order], np.arange(len(d0) + 1)).tolist()
-    d = d0.tolist()
-    heap = [(di, i) for i, di in enumerate(d)]
-    heapq.heapify(heap)
-    # weights are non-negative: a node's one entry costing d[i] is its only live one
-    while heap:
-        di, i = heapq.heappop(heap)
-        if di > d[i]:
-            continue
-        for e in range(starts[i], starts[i + 1]):
-            j = nbr[e]
-            nd = di + wgt[e]
-            if nd < d[j]:
-                d[j] = nd
-                heapq.heappush(heap, (nd, j))
-    return np.array(d)
+def _relax_frontier(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Bellman-Ford rounds over the edges whose source's cost fell last round;
+    # every other edge would offer the same candidate as before
+    d = d0.copy()
+    changed = np.ones(len(d), dtype=bool)
+    while changed.any():
+        e = np.flatnonzero(changed[s])
+        prev = d.copy()
+        np.minimum.at(d, t[e], d[s[e]] + w[e])
+        changed = d < prev
+    return d
 
 
 def _relax_bellman_ford(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -300,13 +289,13 @@ def wavefront_order(
 ) -> tuple[OrderPi, CostField]:
     """Blockage-aware shortest-cost order expanding outward from the transmitter.
 
-    Settles the minimum-cost unvisited patch and relaxes its 8-connected
-    neighbors until every patch is settled, then returns the patches sorted
-    by ascending final cost (ties by ascending index) together with the cost
+    Relaxes the direct-path costs over the 8-connected patch graph in whole
+    array rounds until no cost falls, then returns the patches sorted by
+    ascending final cost (ties by ascending index) together with the cost
     field and its predecessor pointers.
     """
     params = params or OrderParams()
-    costs = _solve(scene, patches, params, _relax_dijkstra)
+    costs = _solve(scene, patches, params, _relax_frontier)
     order = OrderPi(
         _argsort_by_cost(costs.d),
         "wavefront",

@@ -31,7 +31,7 @@ HEIGHT_RANGES = {
 MAX_PLACEMENT_TRIES = 200  # random placements tried per building
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Placement could not satisfy the constraints within bounded retries."""
 
 

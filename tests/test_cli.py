@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radiofront
 from radiofront import (
+    CostField,
     HeightMap,
     LogitTrace,
     OrderParams,
@@ -55,6 +57,22 @@ def tx_flags(city):
         "--tx-x", "5.5", "--tx-y", "9.5",
         "--freq", "5.9e9",
     ]
+
+
+def off_by_one(field):
+    """bruteforce_costs with the last cost one ulp higher or the last predecessor moved."""
+    real = radiofront.cli.bruteforce_costs
+
+    def fake(*args):
+        bf = real(*args)
+        d, pred = bf.d.copy(), bf.pred.copy()
+        if field == "d":
+            d[-1] = np.nextafter(d[-1], np.inf)
+        else:
+            pred[-1] = (pred[-1] + 1) % len(pred)
+        return CostField(d, pred, bf.source)
+
+    return fake
 
 
 class TestAnchorCommand:
@@ -117,13 +135,22 @@ class TestOrderCommand:
         assert rc == 0
         captured = capsys.readouterr().out
         assert "containment: holds=True" in captured
-        assert "oracle: bellman-ford" in captured
+        assert "oracle: bellman-ford max relative gap 0.000e+00 (ok)\n" in captured
         order = load_order(out)
         assert order.kind == "wavefront" and len(order) == 16
         lines = costs.read_text().splitlines()
         assert lines[0] == "patch_index,D,pred"
         idx, d, pred = lines[1].split(",")
         assert idx == "0" and float(d) >= 0.0 and int(pred) >= -1
+
+    @pytest.mark.parametrize("field", ["d", "pred"])
+    def test_verify_fails_unless_oracle_is_bit_identical(
+        self, tmp_path, city, capsys, monkeypatch, field
+    ):
+        monkeypatch.setattr(radiofront.cli, "bruteforce_costs", off_by_one(field))
+        out = str(tmp_path / "o.json")
+        assert main(["order", *tx_flags(city), "--patch-px", "8", "--out", out, "--verify"]) == 1
+        assert " (FAIL)\n" in capsys.readouterr().out
 
     def test_geometric_kinds(self, tmp_path, city):
         for kind in ("raster", "hilbert", "zcurve", "subsample", "alternative"):
@@ -293,6 +320,34 @@ class TestSynthCommand:
         ) == 0
         assert "freq=28000000000.0\n" in (out / "scene.txt").read_text()
 
+    def test_unplaceable_buildings_are_one_error_line(self, tmp_path, capsys):
+        rc = main(
+            [
+                "synth", "--out-dir", str(tmp_path / "d"), "--seed", "1",
+                "--side-px", "8", "--footprint-range", "2,3",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not place building") and err.count("\n") == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        side=st.integers(1, 12),
+        n_buildings=st.integers(0, 12),
+        lo=st.integers(0, 14),
+        hi=st.integers(0, 14),
+    )
+    def test_small_cities_exit_cleanly(self, tmp_path_factory, side, n_buildings, lo, hi):
+        out = tmp_path_factory.mktemp("synth")
+        rc = main(
+            [
+                "synth", "--out-dir", str(out), "--seed", "1", "--side-px", str(side),
+                "--n-buildings", str(n_buildings), "--footprint-range", f"{lo},{hi}",
+            ]
+        )
+        assert rc in (0, 1)
+
     def test_preset_keeps_its_own_side(self, tmp_path):
         out = tmp_path / "serpentine"
         assert main(["synth", "--out-dir", str(out), "--preset", "serpentine"]) == 0
@@ -443,6 +498,12 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         for suite in ("ordering", "entropy", "rope"):
             assert f"PASS {suite}" in out
+
+    @pytest.mark.parametrize("field", ["d", "pred"])
+    def test_ordering_suite_demands_bit_identity(self, capsys, monkeypatch, field):
+        monkeypatch.setattr(radiofront.cli, "bruteforce_costs", off_by_one(field))
+        assert main(["selftest"]) == 1
+        assert "FAIL ordering: wavefront and bellman-ford" in capsys.readouterr().out
 
     def test_injected_fault(self, capsys):
         assert main(["selftest", "--inject-fault", "entropy"]) == 1

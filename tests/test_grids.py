@@ -250,6 +250,8 @@ class TestCsv:
             ("0,0,0,inf\n1,0,0,1.0", UNIT_DB, "line 2: value is not finite"),
             ("0,0,0,1.0\n1,0,0,-2.0", UNIT_METERS, "line 3: building height is negative"),
             ("0,0,0,1\n1,0,0,2\n1,0,0,3\n1,1,0,4", UNIT_DB, "line 3: duplicate cell"),
+            ("0,0,0,0.5\n1,0,0,2.0", UNIT_NORM01, "line 3: normalized value outside"),
+            ("0,0,0,-0.5\n1,0,0,1.0", UNIT_NORM01, "line 2: normalized value outside"),
         ],
     )
     def test_bad_cell_named_with_its_line(self, tmp_path, rows, unit, needle):

@@ -1,5 +1,6 @@
 """Wavefront relaxation, geometric orders, PL ranking, containment checks."""
 
+import heapq
 import itertools
 import re
 
@@ -34,7 +35,8 @@ from radiofront import (
     zcurve_order,
 )
 from radiofront.grids import RadioField, UNIT_DB, ValidationError
-from radiofront.ordering import NO_PRED, edge_weights, save_costs_csv
+from radiofront.ordering import NO_PRED, _solve, edge_weights, save_costs_csv
+from radiofront.synth import PRESETS
 
 
 def flat_scene(side_px=24, res=1.0, tx=(4.0, 12.0), z_tx=1.5):
@@ -66,6 +68,55 @@ def floyd_warshall_costs(scene, patches, params):
                 if via < dist[i, j]:
                     dist[i, j] = via
     return np.min(initial.d[:, None] + dist, axis=0)
+
+
+def relax_dijkstra(d0, s, t, w):
+    """Independent oracle: heapq Dijkstra from every patch's direct-path cost."""
+    # CSR adjacency over the directed edges
+    order = np.argsort(s, kind="stable")
+    nbr = t[order].tolist()
+    wgt = w[order].tolist()
+    starts = np.searchsorted(s[order], np.arange(len(d0) + 1)).tolist()
+    d = d0.tolist()
+    heap = [(di, i) for i, di in enumerate(d)]
+    heapq.heapify(heap)
+    # weights are non-negative: a node's one entry costing d[i] is its only live one
+    while heap:
+        di, i = heapq.heappop(heap)
+        if di > d[i]:
+            continue
+        for e in range(starts[i], starts[i + 1]):
+            j = nbr[e]
+            nd = di + wgt[e]
+            if nd < d[j]:
+                d[j] = nd
+                heapq.heappush(heap, (nd, j))
+    return np.array(d)
+
+
+def spiral_corridor_scene():
+    """64x64 patches of 4 px: 100 m walls on every odd patch ring, one gap per
+    ring alternating between the bottom and top sides, transmitter in the
+    corner patch, so detour chains run for dozens of hops."""
+    n, patch_px = 64, 4
+    r, c = np.divmod(np.arange(n * n), n)
+    ring = np.minimum.reduce([r, c, n - 1 - r, n - 1 - c])
+    gap_row = np.where(ring // 2 % 2 == 0, n - 1 - ring, ring)
+    wall = (ring % 2 == 1) & ~((r == gap_row) & (c == n // 2))
+    heights = np.kron(wall.reshape(n, n) * 100.0, np.ones((patch_px, patch_px)))
+    scene = Scene(HeightMap(heights, 1.0), TxConfig(patch_px / 2, patch_px / 2, 1.5, 5.9e9))
+    return scene, PatchGrid.for_scene(scene, patch_px=patch_px)
+
+
+def relaxation_cases():
+    """(scene, patches): random cities, the four presets, a spiral corridor at N=4096."""
+    for seed in range(6):
+        sc = gen_scene(CityParams(side_px=64, n_buildings=8, footprint_range=(4, 14), seed=seed))
+        yield sc, PatchGrid.for_scene(sc, patch_px=4)
+    for make in PRESETS.values():
+        sc = make()
+        yield sc, PatchGrid.for_scene(sc, patch_px=8)
+    yield spiral_corridor_scene()
 
 
 class TestInitCosts:
@@ -166,8 +217,18 @@ class TestBruteforceOracle:
             pg = PatchGrid.for_scene(sc, patch_px=4)
             _, costs = wavefront_order(sc, pg)
             bf = bruteforce_costs(sc, pg)
-            assert np.all(np.abs(bf.d - costs.d) <= 1e-12 * (1.0 + costs.d))
+            assert np.array_equal(bf.d, costs.d)
             assert np.array_equal(bf.pred, costs.pred)
+
+    def test_frontier_full_sweep_and_heapq_agree(self):
+        for sc, pg in relaxation_cases():
+            order, costs = wavefront_order(sc, pg)
+            for oracle in (bruteforce_costs(sc, pg), _solve(sc, pg, OrderParams(), relax_dijkstra)):
+                assert np.array_equal(oracle.d, costs.d)
+                assert np.array_equal(oracle.pred, costs.pred)
+                assert np.array_equal(np.argsort(oracle.d, kind="stable"), order.perm)
+            # every case routes some patch through a detour
+            assert np.any((costs.pred != costs.source) & (costs.pred != NO_PRED))
 
     def test_flat_map_equals_distances(self):
         sc = flat_scene(tx=(12.0, 20.0), z_tx=1.5)  # patch (2, 1) center
