@@ -13,16 +13,16 @@ All entropies are in nats; pass base2=True where offered for bits.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError, atomic_write
+from .grids import GridFormatError, ValidationError, read_container, write_container
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
+_LTR1_FMT = "<II"  # n_steps, vocab
 LN2 = float(np.log(2.0))
 
 
@@ -250,24 +250,12 @@ def build_shadow_joint(costs: CostField, eps: float = 0.1) -> JointDist:
 
 def save_trace(trace: LogitTrace, path: str | Path) -> None:
     """Write logits as LTR1; the order travels in its own order file."""
-    header = LTR_MAGIC + struct.pack("<II", trace.n_steps, trace.vocab)
-    atomic_write(path, header + trace.logits.astype("<f4").tobytes())
+    write_container(path, LTR_MAGIC, _LTR1_FMT, trace.logits.shape, trace.logits)
 
 
 def load_trace(path: str | Path, order: OrderPi | None = None) -> LogitTrace:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise GridFormatError(f"{path}: file shorter than the 12-byte header")
-    if raw[:4] != LTR_MAGIC:
-        raise GridFormatError(f"{path}: bad magic {raw[:4]!r}, expected {LTR_MAGIC!r}")
-    n_steps, vocab = struct.unpack("<II", raw[4:12])
-    expected = 12 + 4 * n_steps * vocab
-    if len(raw) != expected:
-        raise GridFormatError(
-            f"{path}: payload length {len(raw) - 12} bytes, expected {4 * n_steps * vocab}"
-        )
-    logits = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
+    _, logits = read_container(path, LTR_MAGIC, _LTR1_FMT, lambda *shape: shape)
     try:
-        return LogitTrace(logits.reshape(n_steps, vocab), order)
+        return LogitTrace(logits, order)
     except ValidationError as exc:
         raise GridFormatError(f"{path}: {exc}") from None

@@ -9,12 +9,13 @@ Conventions:
   - pathloss is stored as signed dB (negative values)
   - NaN anywhere is a validation error, never silently propagated
 
-RGF1 format (little-endian):
-  magic 'R''G''F''1' | u8 unit tag (0=meters, 1=dB, 2=normalized01) |
-  u32 width | u32 height | u32 depth | f32 resolution |
-  width*height*depth float32, row-major within a slice, slices outermost.
-The 21-byte header is followed by 4 bytes per value.  Values are float32 on
-disk; grids built from float32 data round-trip bit-exactly.
+RGF1 grids and the entropy module's LTR1 traces share one little-endian
+container (write_container/read_container): 4-byte magic | packed header |
+float32 values.  The RGF1 header is u8 unit tag (0=meters, 1=dB,
+2=normalized01) | u32 width | u32 height | u32 depth | f32 resolution, 21
+bytes with the magic; the width*height*depth values are row-major within a
+slice, slices outermost.  Data built from float32 round-trips bit-exactly.
+Text reports share the row format of write_table.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"RGF1"
+_RGF1_FMT = "<BIIIf"  # unit tag, width, height, depth, resolution
 UNIT_METERS = "meters"
 UNIT_DB = "dB"
 UNIT_NORM01 = "normalized01"
@@ -242,6 +245,37 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
     tmp.replace(path)
 
 
+def write_table(path: str | Path, columns, rows) -> None:
+    """A ``,``-joined header line, then one line per row of Python numbers in
+    repr form (pass numpy values through ``.tolist()``); LF endings, atomic."""
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) -> None:
+    """Write magic, the header fields packed with struct format fmt, then values as <f4."""
+    header = magic + struct.pack(fmt, *fields)
+    atomic_write(path, header + values.astype("<f4").tobytes())
+
+
+def read_container(path: str | Path, magic: bytes, fmt: str, shape) -> tuple[tuple, np.ndarray]:
+    """Header fields and float64 payload of a write_container file; shape maps
+    the fields to the payload's shape, which the file length must match."""
+    raw = Path(path).read_bytes()
+    size = 4 + struct.calcsize(fmt)
+    if len(raw) < size:
+        raise GridFormatError(f"{path}: file shorter than the {size}-byte header")
+    if raw[:4] != magic:
+        raise GridFormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+    fields = struct.unpack(fmt, raw[4:size])
+    dims = shape(*fields)
+    n = 4 * math.prod(dims)
+    if len(raw) != size + n:
+        raise GridFormatError(f"{path}: payload length {len(raw) - size} bytes, expected {n}")
+    values = np.frombuffer(raw, dtype="<f4", offset=size).astype(np.float64)
+    return fields, values.reshape(dims)
+
+
 def save_grid(grid: HeightMap | RadioField, path: str | Path) -> None:
     """Write a grid in RGF1 format; load_grid inverts it bit-exactly."""
     if isinstance(grid, HeightMap):
@@ -253,30 +287,17 @@ def save_grid(grid: HeightMap | RadioField, path: str | Path) -> None:
     else:
         raise TypeError(f"cannot save {type(grid).__name__} as a grid")
     depth, height, width = values.shape
-    header = MAGIC + struct.pack(
-        "<BIIIf", tag, width, height, depth, float(grid.resolution)
-    )
-    atomic_write(path, header + values.astype("<f4").tobytes())
+    fields = (tag, width, height, depth, float(grid.resolution))
+    write_container(path, MAGIC, _RGF1_FMT, fields, values)
 
 
 def load_grid(path: str | Path) -> HeightMap | RadioField:
     """Read an RGF1 grid; the unit tag decides HeightMap vs RadioField."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 21:
-        raise GridFormatError(f"{path}: file shorter than the 21-byte header")
-    if raw[:4] != MAGIC:
-        raise GridFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    tag, width, height, depth, resolution = struct.unpack("<BIIIf", raw[4:21])
+    (tag, _, _, depth, resolution), values = read_container(
+        path, MAGIC, _RGF1_FMT, lambda tag, w, h, d, res: (d, h, w)
+    )
     if tag not in _TAG_UNITS:
         raise GridFormatError(f"{path}: unknown unit tag {tag}")
-    n = width * height * depth
-    expected = 21 + 4 * n
-    if len(raw) != expected:
-        raise GridFormatError(
-            f"{path}: payload length {len(raw) - 21} bytes, expected {4 * n}"
-        )
-    values = np.frombuffer(raw, dtype="<f4", offset=21).astype(np.float64)
-    values = values.reshape(depth, height, width)
     unit = _TAG_UNITS[tag]
     if unit == UNIT_METERS and depth != 1:
         raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
@@ -297,46 +318,53 @@ def grid_from_csv(
     of the implied (z, y, x) box must be present exactly once, with a finite
     value (and a non-negative one for meters).
     """
-    rows = []
+    cells, vals, lines = array("q"), array("d"), array("q")  # cells: x, y, z per row
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = [c.strip().lower() for c in next(reader, [])]
             if header == _CSV_HEADER:
+                add_cell, add_val, add_line = cells.append, vals.append, lines.append
                 for r in reader:
-                    rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), reader.line_num))
+                    add_cell(int(r[0]))
+                    add_cell(int(r[1]))
+                    add_cell(int(r[2]))
+                    add_val(float(r[3]))
+                    add_line(reader.line_num)
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
     except (IndexError, ValueError, csv.Error):
         raise GridFormatError(
             f"{path}: line {reader.line_num}: expected integer x,y,z and a numeric value"
         ) from None
+    except OverflowError:
+        raise GridFormatError(f"{path}: line {reader.line_num}: cell index beyond int64") from None
     if header != _CSV_HEADER:
         raise GridFormatError(f"{path}: expected CSV header 'x,y,z,value'")
-    if not rows:
+    if not vals:
         raise GridFormatError(f"{path}: no data rows")
-    xs, ys, zs, vals, lines = zip(*rows)
 
     def reject_first(bad: np.ndarray, what: str) -> None:
         if bad.any():
             raise GridFormatError(f"{path}: line {lines[int(np.argmax(bad))]}: {what}")
 
-    vals = np.array(vals)
+    vals = np.frombuffer(vals)
     reject_first(~np.isfinite(vals), "value is not finite")
     if unit == UNIT_METERS:
         reject_first(vals < 0, "building height is negative")
     if unit == UNIT_NORM01:
         reject_first((vals < 0) | (vals > 1), "normalized value outside [0, 1]")
-    if min(min(xs), min(ys), min(zs)) < 0:
-        reject_first(np.array([min(r[:3]) < 0 for r in rows]), "negative cell index")
-    width, height, depth = max(xs) + 1, max(ys) + 1, max(zs) + 1
-    if len(rows) != width * height * depth:
+    xyz = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3)
+    reject_first((xyz < 0).any(axis=1), "negative cell index")
+    width, height, depth = (int(m) + 1 for m in xyz.max(axis=0))
+    if len(vals) != width * height * depth:
         raise GridFormatError(
-            f"{path}: {len(rows)} rows do not fill a {width}x{height}x{depth} grid"
+            f"{path}: {len(vals)} rows do not fill a {width}x{height}x{depth} grid"
         )
-    flat = (np.array(zs) * height + np.array(ys)) * width + np.array(xs)
+    x, y, z = xyz.T
+    flat = (z * height + y) * width + x
     reject_first(np.bincount(flat)[flat] > 1, "duplicate cell")
-    values = np.empty(len(rows))
+    values = np.empty(len(vals))
     values[flat] = vals  # no duplicates among width*height*depth rows: every cell set
     values = values.reshape(depth, height, width)
     if unit == UNIT_METERS:
@@ -352,7 +380,6 @@ def grid_to_csv(grid: HeightMap | RadioField, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for z in range(values.shape[0]):
-            for y in range(values.shape[1]):
-                for x in range(values.shape[2]):
-                    writer.writerow([x, y, z, repr(float(values[z, y, x]))])
+        for z, plane in enumerate(values):
+            for y, row in enumerate(plane):
+                writer.writerows([x, y, z, repr(v)] for x, v in enumerate(row.tolist()))

@@ -242,8 +242,6 @@ def _normalize_hist(h, name: str) -> np.ndarray:
 def _gini(p: np.ndarray) -> float:
     x = np.sort(p)
     n = len(x)
-    if n == 1:
-        return 0.0
     i = np.arange(1, n + 1)
     return float(((2 * i - n - 1) * x).sum() / n)
 

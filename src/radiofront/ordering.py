@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import RadioField, Scene, ValidationError, atomic_write
+from .grids import RadioField, Scene, ValidationError, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -47,19 +47,6 @@ def _snap_to_direct(d, pred, initial):
     d = np.where(near, initial.d, d)
     pred = np.where(near, initial.pred, pred)
     return d, pred
-
-
-ORDER_KINDS = (
-    "wavefront",
-    "priorPL",
-    "truePL",
-    "raster",
-    "hilbert",
-    "zcurve",
-    "subsample",
-    "alternative",
-    "custom",
-)
 
 
 @dataclass(frozen=True)
@@ -379,6 +366,16 @@ def subsample_order(n_side: int) -> OrderPi:
     return OrderPi(np.lexsort((c, r, first)), "subsample")
 
 
+GEOMETRIC_ORDERS = {
+    "raster": raster_order,
+    "hilbert": hilbert_order,
+    "zcurve": zcurve_order,
+    "subsample": subsample_order,
+    "alternative": alternative_order,
+}
+ORDER_KINDS = ("wavefront", "priorPL", "truePL", *GEOMETRIC_ORDERS, "custom")
+
+
 # ---------------------------------------------------------------------------
 # pathloss-ranked orders
 
@@ -485,5 +482,5 @@ def load_order(path: str | Path) -> OrderPi:
 
 def save_costs_csv(costs: CostField, path: str | Path) -> None:
     """Cost dump: one ``patch_index,D,pred`` row per patch."""
-    rows = (f"{i},{d!r},{p}" for i, (d, p) in enumerate(zip(costs.d.tolist(), costs.pred.tolist())))
-    atomic_write(path, "\n".join(["patch_index,D,pred", *rows]) + "\n")
+    rows = zip(range(len(costs.d)), costs.d.tolist(), costs.pred.tolist())
+    write_table(path, ("patch_index", "D", "pred"), rows)

@@ -17,11 +17,15 @@ from radiofront import (
     HeightMap,
     LogitTrace,
     OrderParams,
+    PatchGrid,
     RadioField,
+    Scene,
     TxConfig,
     UNIT_DB,
+    anchor_map,
     load_grid,
     load_order,
+    prior_pl_order,
     raster_order,
     save_grid,
     save_order,
@@ -167,6 +171,33 @@ class TestOrderCommand:
     def test_unknown_kind(self, tmp_path, city, capsys):
         rc = main(["order", *tx_flags(city), "--kind", "spiral", "--out", str(tmp_path / "o.json")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --kind: invalid choice: 'spiral'")
+        assert err.count("\n") == 1
+
+    def test_priorpl_ranks_the_anchor_map(self, tmp_path, city):
+        out = tmp_path / "o.json"
+        assert main(["order", *tx_flags(city), "--kind", "priorPL", "--patch-px", "8", "--out", str(out)]) == 0
+        scene = Scene(load_grid(city), TxConfig(5.5, 9.5, f=5.9e9))
+        expected = prior_pl_order(anchor_map(scene), PatchGrid.for_scene(scene, patch_px=8))
+        order = load_order(out)
+        assert order.kind == "priorPL"
+        np.testing.assert_array_equal(order.perm, expected.perm)
+
+    def test_geometric_kind_verifies_against_wavefront_costs(self, tmp_path, city, capsys):
+        flags = [*tx_flags(city), "--patch-px", "8"]
+        wave_csv, raster_csv = tmp_path / "wave.csv", tmp_path / "raster.csv"
+        assert main(["order", *flags, "--out", str(tmp_path / "w.json"), "--cost-csv", str(wave_csv)]) == 0
+        capsys.readouterr()
+        rc = main(
+            ["order", *flags, "--kind", "raster", "--verify",
+             "--out", str(tmp_path / "r.json"), "--cost-csv", str(raster_csv)]
+        )
+        assert rc == 0  # only the wavefront order must hold containment
+        out = capsys.readouterr().out
+        assert "containment: holds=False violations=" in out
+        assert "oracle: bellman-ford max relative gap 0.000e+00 (ok)\n" in out
+        assert raster_csv.read_bytes() == wave_csv.read_bytes()
 
 
 class TestEntropyCommand:
@@ -505,8 +536,12 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 1
         assert "FAIL ordering: wavefront and bellman-ford" in capsys.readouterr().out
 
-    def test_injected_fault(self, capsys):
-        assert main(["selftest", "--inject-fault", "entropy"]) == 1
+    def test_injected_fault(self, capsys, monkeypatch):
+        def broken(rng):
+            raise AssertionError("injected fault")
+
+        monkeypatch.setattr(radiofront.cli, "_suite_entropy", broken)
+        assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL entropy" in out
 
@@ -526,6 +561,13 @@ class TestConfigPrecedence:
         )
         assert rc == 0
         assert load_order(out2).kind == "hilbert"  # flag wins
+
+    def test_config_kind_is_case_insensitive(self, tmp_path, city):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("patch_px=8\nkind=Raster\n")
+        out = tmp_path / "o.json"
+        assert main(["--config", str(cfg), "order", *tx_flags(city), "--out", str(out)]) == 0
+        assert load_order(out).kind == "raster"
 
     @pytest.mark.parametrize("value, checked", [("false", False), ("True", True)])
     def test_config_switch(self, tmp_path, city, capsys, value, checked):

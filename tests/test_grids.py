@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,25 @@ class TestCsv:
         back = grid_from_csv(tmp_path / "f.csv", unit=UNIT_DB)
         assert np.array_equal(back.values, fld.values)
 
+    def test_writer_bytes(self, tmp_path):
+        fld = RadioField([[[-60.0, -70.25]], [[-0.1, -80.0]]], UNIT_DB)
+        grid_to_csv(fld, tmp_path / "f.csv")
+        rows = ["x,y,z,value", "0,0,0,-60.0", "1,0,0,-70.25", "0,0,1,-0.1", "1,0,1,-80.0"]
+        assert (tmp_path / "f.csv").read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+
+    def test_reader_peak_memory(self, tmp_path):
+        # typed arrays, not a Python tuple per row: the peak stays a small multiple of the field
+        fld = RadioField(np.random.default_rng(9).uniform(-140, -60, (3, 128, 128)), UNIT_DB)
+        grid_to_csv(fld, tmp_path / "f.csv")
+        tracemalloc.start()
+        try:
+            back = grid_from_csv(tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, fld.values)
+        assert peak < 15 * fld.values.nbytes
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -252,6 +272,7 @@ class TestCsv:
             ("0,0,0,1\n1,0,0,2\n1,0,0,3\n1,1,0,4", UNIT_DB, "line 3: duplicate cell"),
             ("0,0,0,0.5\n1,0,0,2.0", UNIT_NORM01, "line 3: normalized value outside"),
             ("0,0,0,-0.5\n1,0,0,1.0", UNIT_NORM01, "line 2: normalized value outside"),
+            ("0,0,0,1.0\n9223372036854775808,0,0,2.0", UNIT_DB, "line 3: cell index beyond int64"),
         ],
     )
     def test_bad_cell_named_with_its_line(self, tmp_path, rows, unit, needle):

@@ -262,6 +262,9 @@ class TestHistStats:
         h_b = np.array([0.0, 0.0, 1.0, 1.0])
         assert hist_stats(h_a, h_b).d_js == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_one_bin_gini(self):
+        assert hist_stats([5.0], [5.0]).gini_a == 0.0
+
     def test_one_hot_gini(self):
         h = np.zeros(100)
         h[3] = 5.0

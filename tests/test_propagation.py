@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radiofront import (
     HeightMap,
@@ -13,6 +15,7 @@ from radiofront import (
     ValidationError,
     anchor_map,
     blockage_ratio,
+    blockage_ratio_batch,
     fspl,
     link_threshold,
 )
@@ -112,6 +115,22 @@ class TestBlockageRatio:
             beta_ba = blockage_ratio(hm, b, a)
             assert 0.0 <= beta_ab <= 1.0
             assert abs(beta_ab - beta_ba) <= 1.0 / k
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_ratio_in_unit_interval(self, data):
+        h_px, w_px, n = (data.draw(st.integers(1, 12)) for _ in range(3))
+        res = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=st.floats(0, 40)))
+        inside = st.tuples(
+            st.floats(0, w_px * res, exclude_max=True),
+            st.floats(0, h_px * res, exclude_max=True),
+            st.floats(0, 50),
+        )
+        a, b = (np.array(data.draw(st.lists(inside, min_size=n, max_size=n))) for _ in range(2))
+        beta = blockage_ratio_batch(heights, res, a, b)
+        assert beta.shape == (n,)
+        assert np.all((beta >= 0.0) & (beta <= 1.0))
 
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
