@@ -7,6 +7,7 @@ so free-space loss is negative and deeper loss means a more negative number.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
-CHUNK_RAYS = 2048  # rays sampled per batch in blockage_ratio_batch
+SAMPLE_BUDGET = 1 << 18  # ray samples (member rows x K) held at once by the blockage kernel
 
 # single-channel dB field over the pixel grid at receiver height
 AnchorMap = RadioField
@@ -65,6 +66,130 @@ def _sample_counts(lengths: np.ndarray, resolution: float) -> np.ndarray:
     return np.maximum(2, counts.astype(np.int64))
 
 
+def _chunks(bounds: np.ndarray, group_k: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first group, end group, samples per pass) of each chunk of K-sorted groups.
+
+    Group g owns members bounds[g]:bounds[g + 1].  A chunk takes groups while
+    its members x K_max fits SAMPLE_BUDGET; a group over the budget on its
+    own is sampled in passes of at most SAMPLE_BUDGET // members samples.
+    """
+    chunks = []
+    g = 0
+    while g < len(group_k):
+        m0 = int(bounds[g])
+        # members x K_max grows with the end group, so bisect for the last end that fits
+        fitting = bisect_right(
+            range(g + 1, len(group_k) + 1),
+            SAMPLE_BUDGET,
+            key=lambda end: (int(bounds[end]) - m0) * int(group_k[end - 1]),
+        )
+        e = g + max(1, fitting)
+        width = max(1, SAMPLE_BUDGET // (int(bounds[e]) - m0))
+        chunks.append((g, e, min(int(group_k[e - 1]), width)))
+        g = e
+    return chunks
+
+
+def _rows(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leading entries of a flat scratch buffer viewed as a (rows, width) block."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _blockage(
+    heights: np.ndarray,
+    resolution: float,
+    a: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    bz: np.ndarray,
+) -> np.ndarray:
+    """Blocked fraction of every segment a[p] -> (bx[p], by[p], bz[s, p]), shape (S, P).
+
+    The (ray, slice) members are stably sorted by (K, ray, slice).  A run of
+    members with one ray and one K is a group: its sample positions, pixels
+    and heights are computed once, and every member compares its own z with
+    them.  Groups are taken in chunks that fit SAMPLE_BUDGET member samples
+    (see _chunks).  Each sample keeps t = (k + 0.5) / K of its whole ray, and
+    blocked samples are counted as integers, so beta does not depend on the
+    chunking.
+    """
+    n_s, n_p = bz.shape
+    h_px, w_px = heights.shape
+    flat_heights = np.ravel(np.asarray(heights, dtype=np.float64))
+    ux = bx - a[:, 0]
+    uy = by - a[:, 1]
+    uz = bz - a[:, 2]
+    uz *= uz
+    counts = _sample_counts(np.sqrt((ux * ux + uy * uy) + uz), resolution).T.ravel()
+    del uz
+    order = np.argsort(counts, kind="stable")  # member index ray * S + slice
+    counts = counts[order]
+    ray = order // n_s
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (counts[1:] != counts[:-1]) | (ray[1:] != ray[:-1])
+    bounds = np.append(np.flatnonzero(first), len(order))
+    group_k = counts[bounds[:-1]]
+    group_ray = ray[bounds[:-1]]
+    del counts, ray, first
+    chunks = _chunks(bounds, group_k)
+
+    # scratch sized for the largest chunk and reused by every pass, since
+    # fresh arrays would page-fault on each pass; takes into it use
+    # mode="clip" because the default mode copies through a temporary
+    group_size = max(((e - g) * width for g, e, width in chunks), default=0)
+    member_size = max(((bounds[e] - bounds[g]) * width for g, e, width in chunks), default=0)
+    shared_size = member_size if len(group_k) < len(order) else 0
+    t_buf, pos_buf, roof_buf = (np.empty(group_size) for _ in range(3))
+    cols_buf, cells_buf = (np.empty(group_size, dtype=np.int64) for _ in range(2))
+    z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
+    below_buf = np.empty(member_size, dtype=bool)
+    beta = np.empty((n_s, n_p), dtype=np.float64)
+    for g, e, width in chunks:
+        k = group_k[g:e]
+        r = group_ray[g:e]
+        member_ray, member_slice = np.divmod(order[bounds[g] : bounds[e]], n_s)
+        member_group = np.repeat(np.arange(e - g), np.diff(bounds[g : e + 1]))
+        oz = a[member_ray, 2, np.newaxis]
+        dz = bz[member_slice, member_ray][:, np.newaxis] - oz
+        distinct_k, row_k = np.unique(k, return_inverse=True)
+        k_max = int(k[-1])
+        blocked = np.zeros(len(member_ray), dtype=np.int64)
+        for k0 in range(0, k_max, width):
+            steps = np.arange(k0, min(k0 + width, k_max), dtype=np.float64)
+            shape = (len(k), len(steps))
+            t_rows = (steps + 0.5) / distinct_k[:, np.newaxis]
+            t = t_rows.take(row_k, axis=0, out=_rows(t_buf, shape), mode="clip")
+            pos = np.multiply(t, ux[r, np.newaxis], out=_rows(pos_buf, shape))
+            pos += a[r, 0, np.newaxis]
+            pos /= resolution
+            cols = _rows(cols_buf, shape)
+            cols[...] = pos
+            np.clip(cols, 0, w_px - 1, out=cols)
+            np.multiply(t, uy[r, np.newaxis], out=pos)
+            pos += a[r, 1, np.newaxis]
+            pos /= resolution
+            cells = _rows(cells_buf, shape)
+            cells[...] = pos
+            np.clip(cells, 0, h_px - 1, out=cells)
+            cells *= w_px
+            cells += cols
+            roof = flat_heights.take(cells, out=_rows(roof_buf, shape), mode="clip")
+            # samples past a group's own K are padding, found in the leading
+            # rows since K ascends; an infinitely low roof never blocks them
+            short = np.searchsorted(k, k0 + len(steps))
+            lo = max(int(k[0]) - k0, 0)
+            np.copyto(roof[:short, lo:], -np.inf, where=steps[lo:] >= k[:short, np.newaxis])
+            if len(member_group) > len(k):  # some group serves several slices: a row per member
+                shape = (len(member_group), len(steps))
+                t = t.take(member_group, axis=0, out=_rows(z_buf, shape), mode="clip")
+                roof = roof.take(member_group, axis=0, out=_rows(roof_z_buf, shape), mode="clip")
+            t *= dz
+            t += oz
+            blocked += np.count_nonzero(np.less(t, roof, out=_rows(below_buf, shape)), axis=1)
+        beta[member_slice, member_ray] = blocked / k[member_group]
+    return beta
+
+
 def blockage_ratio_batch(
     heights: np.ndarray,
     resolution: float,
@@ -76,34 +201,18 @@ def blockage_ratio_batch(
     a, b: (P, 3) endpoint arrays in meters.  K_i = max(2, ceil(len_i / res))
     midpoint samples are placed uniformly along each segment; a sample is
     blocked when its interpolated z lies below the building height at its
-    ground-plane pixel.  Swapping a and b visits the same positions, but a
-    sample exactly on a pixel edge may round into the other pixel, so the
-    ratio is symmetric in endpoint order only up to such samples.
+    ground-plane pixel.  Rays are sorted by K and sampled in chunks of at
+    most SAMPLE_BUDGET samples (a longer ray in segments), and the blocked
+    samples are counted exactly, so beta does not depend on the chunking.
+    The anchor maps share one kernel with this function and sample each
+    ray's x/y once for all height slices with the same K.  Swapping a and b
+    visits the same positions, but a sample exactly on a pixel edge may round
+    into the other pixel, so the ratio is symmetric in endpoint order only up
+    to such samples.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    h_px, w_px = heights.shape
-    vec = b - a
-    lengths = np.linalg.norm(vec, axis=1)
-    counts = _sample_counts(lengths, resolution)
-    beta = np.empty(len(a), dtype=np.float64)
-    for lo in range(0, len(a), CHUNK_RAYS):
-        hi = min(lo + CHUNK_RAYS, len(a))
-        k = counts[lo:hi]
-        k_max = int(k.max())
-        # (P, k_max) fractional positions; entries beyond K_i are masked out
-        steps = np.arange(k_max, dtype=np.float64)[np.newaxis, :]
-        t = (steps + 0.5) / k[:, np.newaxis]
-        valid = steps < k[:, np.newaxis]
-        t = np.where(valid, t, 0.0)
-        xs = a[lo:hi, 0, np.newaxis] + vec[lo:hi, 0, np.newaxis] * t
-        ys = a[lo:hi, 1, np.newaxis] + vec[lo:hi, 1, np.newaxis] * t
-        zs = a[lo:hi, 2, np.newaxis] + vec[lo:hi, 2, np.newaxis] * t
-        cols = np.clip((xs / resolution).astype(np.int64), 0, w_px - 1)
-        rows = np.clip((ys / resolution).astype(np.int64), 0, h_px - 1)
-        blocked = (zs < heights[rows, cols]) & valid
-        beta[lo:hi] = blocked.sum(axis=1) / k
-    return beta
+    return _blockage(heights, resolution, a, b[:, 0], b[:, 1], b[np.newaxis, :, 2])[0]
 
 
 def blockage_ratio(scene_or_h, u_a, u_b) -> float:
@@ -125,32 +234,35 @@ def pixel_centers(h_px: int, w_px: int, resolution: float) -> tuple[np.ndarray, 
     return np.meshgrid(xs, ys)
 
 
+def _anchor_slices(scene: Scene, zs) -> RadioField:
+    """The anchor map at each receiver height in zs, one channel each, from one kernel call."""
+    h = scene.heightmap
+    tx = scene.tx
+    xs, ys = pixel_centers(h.height_px, h.width_px, h.resolution)
+    z = np.asarray(zs, dtype=np.float64).reshape(-1, 1)
+    origin = np.broadcast_to(tx.position, (xs.size, 3))
+    beta = _blockage(
+        h.values, h.resolution, origin, xs.ravel(), ys.ravel(), np.broadcast_to(z, (len(z), xs.size))
+    )
+    values = beta.reshape(len(z), *xs.shape)
+    values *= fspl(tx.d0, tx.f) - link_threshold(tx).l_thr
+    dx = xs - tx.x
+    dy = ys - tx.y
+    dz = z[:, :, np.newaxis] - tx.z
+    values += _fspl_array(np.maximum(np.sqrt(dx * dx + dy * dy + dz * dz), tx.d0), tx.f)
+    return RadioField(values, UNIT_DB, h.resolution)
+
+
 def anchor_map(scene: Scene, z: float | None = None) -> RadioField:
     """Frequency-aware pathloss anchor over the pixel grid.
 
-    Per pixel u at receiver height: FSPL of the 3D distance (clamped below
-    by d0) plus the blockage ratio times the shadow range
-    [FSPL(d0, f) - L_thr].  Reduces exactly to FSPL on zero-height maps.
+    Per pixel u at receiver height (z_rx unless z is given): FSPL of the 3D
+    distance (clamped below by d0) plus the blockage ratio times the shadow
+    range [FSPL(d0, f) - L_thr].  Reduces exactly to FSPL on zero-height maps.
     """
-    h = scene.heightmap
-    tx = scene.tx
-    z_rx = scene.rx.z_rx if z is None else z
-    xs, ys = pixel_centers(h.height_px, h.width_px, h.resolution)
-    dx = xs - tx.x
-    dy = ys - tx.y
-    dz = z_rx - tx.z
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    loss = _fspl_array(np.maximum(dist, tx.d0), tx.f)
-
-    targets = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, z_rx)])
-    origin = np.broadcast_to(tx.position, targets.shape)
-    beta = blockage_ratio_batch(h.values, h.resolution, origin, targets)
-    shadow_range = fspl(tx.d0, tx.f) - link_threshold(tx).l_thr
-    values = loss + beta.reshape(loss.shape) * shadow_range
-    return RadioField(values[np.newaxis], UNIT_DB, h.resolution)
+    return _anchor_slices(scene, [scene.rx.z_rx if z is None else z])
 
 
 def anchor_volume(scene: Scene) -> RadioField:
     """Anchor evaluated at every receiver slice height (n_z channels)."""
-    slices = [anchor_map(scene, z=z).slice(0) for z in scene.rx.slice_heights()]
-    return RadioField(np.stack(slices), UNIT_DB, scene.heightmap.resolution)
+    return _anchor_slices(scene, scene.rx.slice_heights())

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,95 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radiofront import (
+    CityParams,
     HeightMap,
+    PatchGrid,
+    RxConfig,
     Scene,
     TxConfig,
     ValidationError,
     anchor_map,
+    anchor_volume,
     blockage_ratio,
     blockage_ratio_batch,
     fspl,
+    gen_scene,
     link_threshold,
 )
-from radiofront.propagation import SPEED_OF_LIGHT
+from radiofront import propagation
+from radiofront.ordering import _edge_list
+from radiofront.propagation import SPEED_OF_LIGHT, _fspl_array, _sample_counts, pixel_centers
+from radiofront.synth import PRESETS
+
+CHUNK_RAYS = 2048  # rays sampled per batch in blockage_ratio_reference
+
+
+def blockage_ratio_reference(
+    heights: np.ndarray,
+    resolution: float,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """The blockage kernel before sorting: consecutive rays padded to the chunk's longest."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    h_px, w_px = heights.shape
+    vec = b - a
+    lengths = np.linalg.norm(vec, axis=1)
+    counts = _sample_counts(lengths, resolution)
+    beta = np.empty(len(a), dtype=np.float64)
+    for lo in range(0, len(a), CHUNK_RAYS):
+        hi = min(lo + CHUNK_RAYS, len(a))
+        k = counts[lo:hi]
+        k_max = int(k.max())
+        # (P, k_max) fractional positions; entries beyond K_i are masked out
+        steps = np.arange(k_max, dtype=np.float64)[np.newaxis, :]
+        t = (steps + 0.5) / k[:, np.newaxis]
+        valid = steps < k[:, np.newaxis]
+        t = np.where(valid, t, 0.0)
+        xs = a[lo:hi, 0, np.newaxis] + vec[lo:hi, 0, np.newaxis] * t
+        ys = a[lo:hi, 1, np.newaxis] + vec[lo:hi, 1, np.newaxis] * t
+        zs = a[lo:hi, 2, np.newaxis] + vec[lo:hi, 2, np.newaxis] * t
+        cols = np.clip((xs / resolution).astype(np.int64), 0, w_px - 1)
+        rows = np.clip((ys / resolution).astype(np.int64), 0, h_px - 1)
+        blocked = (zs < heights[rows, cols]) & valid
+        beta[lo:hi] = blocked.sum(axis=1) / k
+    return beta
+
+
+def fan_rays(scene, z):
+    """Transmitter-to-pixel-centre rays at receiver height z, as the anchor casts them."""
+    h = scene.heightmap
+    xs, ys = pixel_centers(h.height_px, h.width_px, h.resolution)
+    targets = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, z)])
+    return np.broadcast_to(scene.tx.position, targets.shape), targets
+
+
+def anchor_slice_reference(scene, z):
+    """One anchor slice from the reference kernel, computed as the anchor map was."""
+    h = scene.heightmap
+    tx = scene.tx
+    xs, ys = pixel_centers(h.height_px, h.width_px, h.resolution)
+    dx = xs - tx.x
+    dy = ys - tx.y
+    dz = z - tx.z
+    loss = _fspl_array(np.maximum(np.sqrt(dx * dx + dy * dy + dz * dz), tx.d0), tx.f)
+    beta = blockage_ratio_reference(h.values, h.resolution, *fan_rays(scene, z))
+    return loss + beta.reshape(loss.shape) * (fspl(tx.d0, tx.f) - link_threshold(tx).l_thr)
+
+
+def random_city(seed, side_px):
+    params = CityParams(side_px, n_buildings=8, footprint_range=(4, side_px // 4), seed=seed)
+    return gen_scene(params)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def independent_fspl(d, f):
@@ -146,6 +225,107 @@ class TestBlockageRatio:
         low = blockage_ratio(hm, (1.0, 10.0, 1.0), (19.0, 10.0, 1.0))
         climbing = blockage_ratio(hm, (1.0, 10.0, 1.0), (19.0, 10.0, 25.0))
         assert climbing < low
+
+
+class TestBlockageReference:
+    """The sorted, sample-budgeted kernel gives the reference kernel's beta bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_city_fans(self, seed):
+        scene = random_city(seed, side_px=48 + 16 * seed)
+        h = scene.heightmap
+        for z in (0.5, scene.rx.z_rx, 4.0, 25.0):
+            a, b = fan_rays(scene, z)
+            assert np.array_equal(
+                blockage_ratio_batch(h.values, h.resolution, a, b),
+                blockage_ratio_reference(h.values, h.resolution, a, b),
+            )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_anchor_maps(self, name):
+        scene = PRESETS[name](seed=3)
+        reference = anchor_slice_reference(scene, scene.rx.z_rx)
+        assert np.array_equal(anchor_map(scene).slice(0), reference)
+
+    @pytest.mark.parametrize("n_z, dz", [(2, 1.0), (3, 1.0), (3, 2.0), (5, 1.0), (5, 2.0)])
+    def test_multi_slice_volumes(self, n_z, dz):
+        base = random_city(n_z, side_px=96)
+        scene = Scene(base.heightmap, base.tx, RxConfig(z_rx=2.0, n_z=n_z, dz=dz))
+        volume = anchor_volume(scene).values
+        assert volume.shape == (n_z, 96, 96)
+        for k, z in enumerate(scene.rx.slice_heights()):
+            assert np.array_equal(volume[k], anchor_slice_reference(scene, z))
+            assert np.array_equal(volume[k], anchor_map(scene, z=z).slice(0))
+
+    @pytest.mark.parametrize("patch_px", [4, 16])
+    def test_ordering_rays_of_a_256_city(self, patch_px):
+        scene = random_city(7, side_px=256)
+        h = scene.heightmap
+        centers = PatchGrid.for_scene(scene, patch_px).centers()
+        src, dst = _edge_list(256 // patch_px)
+        init = (np.broadcast_to(scene.tx.position, centers.shape), centers)
+        for a, b in (init, (centers[src], centers[dst])):
+            assert np.array_equal(
+                blockage_ratio_batch(h.values, h.resolution, a, b),
+                blockage_ratio_reference(h.values, h.resolution, a, b),
+            )
+
+    def test_ray_cut_into_passes_is_exact(self):
+        # 4 samples in passes of 3; x enters the wall halfway along the ray
+        heights = np.zeros((1, 4))
+        heights[:, 2:] = 10.0
+        a, b = [[0.0, 0.0, 1.0]], [[4e-5, 0.0, 1.0]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "SAMPLE_BUDGET", 3)
+            beta = blockage_ratio_batch(heights, 1e-5, a, b)
+        assert beta[0] == blockage_ratio_reference(heights, 1e-5, a, b)[0] == 0.5
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_budget_gives_the_reference_beta(self, data):
+        # budgets of a few samples force many chunks and cut rays into segments
+        budget = data.draw(st.integers(1, 12))
+        n_s, h_px, w_px, n = (data.draw(st.integers(1, 5)) for _ in range(4))
+        res = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=st.floats(0, 40)))
+        inside = st.tuples(
+            st.floats(0, w_px * res, exclude_max=True),
+            st.floats(0, h_px * res, exclude_max=True),
+            st.floats(0, 50),
+        )
+        a, b = (np.array(data.draw(st.lists(inside, min_size=n, max_size=n))) for _ in range(2))
+        bz = data.draw(arrays(np.float64, (n_s, n), elements=st.floats(0, 50)))
+        bz[0] = b[:, 2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "SAMPLE_BUDGET", budget)
+            single = blockage_ratio_batch(heights, res, a, b)
+            sliced = propagation._blockage(heights, res, a, b[:, 0], b[:, 1], bz)
+        assert np.array_equal(single, blockage_ratio_reference(heights, res, a, b))
+        for s in range(n_s):
+            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
+            assert np.array_equal(sliced[s], blockage_ratio_reference(heights, res, a, target))
+
+
+class TestBlockageMemory:
+    """Peak traced memory follows SAMPLE_BUDGET, not the longest ray or the slice count."""
+
+    def test_one_long_ray_stays_within_the_budget(self):
+        # 30 m at 1e-5 m is 3e6 samples, over ten times the budget; one
+        # padded row would hold every sample at once
+        heights = np.zeros((4, 4))
+        heights[:, 2:] = 10.0
+        a = np.array([[0.5, 0.5, 1.0]])
+        b = np.array([[30.0, 0.5, 1.0]])
+        assert _sample_counts(np.array([29.5]), 1e-5)[0] > 10 * propagation.SAMPLE_BUDGET
+        peak = traced_peak(lambda: blockage_ratio_batch(heights, 1e-5, a, b))
+        assert peak <= 12 * propagation.SAMPLE_BUDGET * 8
+
+    def test_volume_peak_is_one_map_plus_its_output(self):
+        base = gen_scene(CityParams(side_px=256, seed=1))
+        scene = Scene(base.heightmap, base.tx, RxConfig(n_z=3))
+        map_peak = traced_peak(lambda: anchor_map(scene))
+        volume_peak = traced_peak(lambda: anchor_volume(scene))
+        assert volume_peak <= map_peak + 3 * 256 * 256 * 8
 
 
 class TestSampleCounts:
