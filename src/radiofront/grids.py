@@ -377,9 +377,10 @@ def grid_from_csv(
 def grid_to_csv(grid: HeightMap | RadioField, path: str | Path) -> None:
     """Export a grid as ``x,y,z,value`` CSV ('.' decimal, locale-free)."""
     values = grid.values[np.newaxis] if isinstance(grid, HeightMap) else grid.values
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for z, plane in enumerate(values):
-            for y, row in enumerate(plane):
-                writer.writerows([x, y, z, repr(v)] for x, v in enumerate(row.tolist()))
+    xs = [str(x) for x in range(values.shape[2])]
+    lines = [",".join(_CSV_HEADER) + "\r\n"]
+    for z, plane in enumerate(values):
+        for y, row in enumerate(plane.tolist()):
+            yz = f",{y},{z},"
+            lines.append("".join([f"{x}{yz}{v!r}\r\n" for x, v in zip(xs, row)]))
+    atomic_write(path, "".join(lines))

@@ -72,15 +72,29 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
     return k / k.sum()
 
 
-def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # separable gaussian filtering, cropped to fully-valid window positions;
-    # imported here: scipy.ndimage is most of the package's import time
-    from scipy.ndimage import correlate1d
+def _correlate_sym(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate x with the odd symmetric kernel w along axis, where the kernel fits.
 
-    out = correlate1d(img, kernel, axis=0, mode="constant")
-    out = correlate1d(out, kernel, axis=1, mode="constant")
-    r = len(kernel) // 2
-    return out[r:-r, r:-r]
+    Sums in ndimage's order for a symmetric kernel: the centre tap times its
+    weight, then (left + right) * weight for each pair of taps, outermost pair
+    first.  Each step is one rounding per element, so the result is
+    bit-identical to ndimage's correlate1d cropped by len(w) // 2 at each end.
+    """
+    r = len(w) // 2
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0] - 2 * r
+    out = x[r:r + n] * w[r]
+    pair = np.empty_like(out)
+    for k in range(r):
+        np.add(x[k:k + n], x[2 * r - k:2 * r - k + n], out=pair)
+        pair *= w[k]
+        out += pair
+    return np.moveaxis(out, 0, axis)
+
+
+def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # separable gaussian filtering over the fully-valid window positions
+    return _correlate_sym(_correlate_sym(img, kernel, 0), kernel, 1)
 
 
 def _ssim_slice(a: np.ndarray, b: np.ndarray) -> float:

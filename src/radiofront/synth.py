@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB
+from .metrics import _windowed_mean
 from .propagation import anchor_volume
 
 # pathloss range (top, bottom) and building height envelopes per dataset
@@ -113,6 +114,22 @@ def gen_scene(
     return Scene(heightmap, tx, rx or RxConfig())
 
 
+def _smooth(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of each height slice with edge-replicated borders.
+
+    Same kernel (radius int(4 sigma + 0.5)) and summation order as ndimage's
+    gaussian_filter(values, (0, sigma, sigma), mode="nearest"), so the result
+    is bit-identical to it.
+    """
+    radius = int(4 * sigma + 0.5)
+    if radius == 0:  # the kernel is [1.0]; sigma * sigma may underflow
+        return values
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
+    kernel /= kernel.sum()
+    return np.stack([_windowed_mean(np.pad(v, radius, mode="edge"), kernel) for v in values])
+
+
 def gen_field(
     scene: Scene,
     noise_sigma: float = 0.0,
@@ -128,10 +145,7 @@ def gen_field(
     """
     values = anchor_volume(scene).values
     if smooth_sigma > 0:
-        # imported here: scipy.ndimage is most of the package's import time
-        from scipy.ndimage import gaussian_filter
-
-        values = gaussian_filter(values, sigma=(0, smooth_sigma, smooth_sigma), mode="nearest")
+        values = _smooth(values, smooth_sigma)
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
     if clamp is not None:

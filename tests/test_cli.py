@@ -509,18 +509,40 @@ class TestReaderErrors:
         self.assert_one_error_line(capsys, "hm.csv: line 2")
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # only smoothing and SSIM filter; every other command skips scipy.ndimage's import time
+def run_fresh_python(code):
     src = Path(radiofront.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = "import sys, radiofront.cli; print('scipy.ndimage' in sys.modules)"
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    run = run_fresh_python("import sys, radiofront.cli; print('scipy.ndimage' in sys.modules)")
     assert run.stdout.strip() == "False", run.stderr
+
+
+def test_smoothing_and_ssim_leave_scipy_unloaded(tmp_path):
+    # scipy's import costs each process about 375 ms; it is a test oracle only
+    code = f"""
+import sys
+from radiofront import CityParams, gen_field, gen_scene, metric_report
+from radiofront.cli import main
+fld = gen_field(gen_scene(CityParams(side_px=24, n_buildings=2, footprint_range=(3, 6))), smooth_sigma=1.0)
+metric_report(fld, fld, -160.0, -40.0)
+out = {str(tmp_path)!r}
+assert main(["synth", "--out-dir", out + "/s", "--side-px", "24", "--n-buildings", "2",
+             "--footprint-range", "3,6", "--smooth-sigma", "1"]) == 0
+assert main(["metrics", "--pred", out + "/s/field.rgf", "--gt", out + "/s/field.rgf",
+             "--report", out + "/r.csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    run = run_fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout
 
 
 class TestSelftestCommand:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import ssim_oracle
+from hypothesis import Phase, given, settings, strategies as st
+from scipy.ndimage import correlate1d
 
 from radiofront import (
     GradLossConfig,
@@ -21,6 +23,7 @@ from radiofront import (
     ssim,
     vertical_grad_error_cdf,
 )
+from radiofront.metrics import _gaussian_window, _windowed_mean
 
 
 def norm_field(values):
@@ -142,6 +145,25 @@ class TestSsim:
         assert ssim(norm_field(a), norm_field(b)) == pytest.approx(
             np.mean(per_slice), abs=1e-12
         )
+
+    # not shrunk: a summation-order fault fails on its first differing example
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        h=st.integers(11, 300),
+        w=st.integers(11, 300),
+        log_scale=st.floats(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_windowed_mean_is_ndimage_bit_for_bit(self, h, w, log_scale, seed):
+        img = np.random.default_rng(seed).standard_normal((h, w)) * 10.0**log_scale
+        kernel = _gaussian_window()
+        r = len(kernel) // 2
+        ref = correlate1d(img, kernel, axis=0, mode="constant")
+        ref = correlate1d(ref, kernel, axis=1, mode="constant")[r:-r, r:-r]
+        assert np.array_equal(_windowed_mean(img, kernel), ref)
 
     def test_window_too_large(self):
         small = norm_field(np.zeros((1, 8, 8)))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radiofront import (
@@ -195,7 +195,10 @@ class TestBlockageRatio:
             assert 0.0 <= beta_ab <= 1.0
             assert abs(beta_ab - beta_ba) <= 1.0 / k
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
     @given(data=st.data())
     def test_ratio_in_unit_interval(self, data):
         h_px, w_px, n = (data.draw(st.integers(1, 12)) for _ in range(3))
@@ -280,7 +283,10 @@ class TestBlockageReference:
             beta = blockage_ratio_batch(heights, 1e-5, a, b)
         assert beta[0] == blockage_ratio_reference(heights, 1e-5, a, b)[0] == 0.5
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
     @given(data=st.data())
     def test_any_budget_gives_the_reference_beta(self, data):
         # budgets of a few samples force many chunks and cut rays into segments

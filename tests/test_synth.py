@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.ndimage import gaussian_filter
 
 from radiofront import (
@@ -28,6 +29,7 @@ from radiofront import (
     rasterize_tx,
     true_pl_order,
 )
+from radiofront.synth import _smooth
 
 
 def gen_field_oracle(scene, noise_sigma=0.0, seed=0, smooth_sigma=0.0, clamp=None):
@@ -175,6 +177,26 @@ class TestGenField:
         for n_z in (1, 3):
             sc = self.scene(n_z=n_z)
             assert np.array_equal(gen_field(sc, **kw).values, gen_field_oracle(sc, **kw))
+
+    # not shrunk: a summation-order fault fails on its first differing example
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        sigma=st.sampled_from([0.3, 0.5, 1.0, 1.7, 3.3]),
+        n_z=st.integers(1, 3),
+        h=st.integers(1, 200),
+        w=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sigma=3.3, n_z=2, h=1, w=5, seed=0)  # both sides below the radius of 13
+    @example(sigma=1.7, n_z=1, h=200, w=3, seed=1)
+    @example(sigma=1e-200, n_z=1, h=4, w=4, seed=2)  # ndimage skips so small a sigma
+    def test_smoothing_is_ndimage_bit_for_bit(self, sigma, n_z, h, w, seed):
+        values = np.random.default_rng(seed).normal(-100.0, 20.0, (n_z, h, w))
+        ref = gaussian_filter(values, sigma=(0, sigma, sigma), mode="nearest")
+        assert np.array_equal(_smooth(values, sigma), ref)
 
     def test_true_pl_order_links_to_euclidean(self):
         # pixel-sized patches with the tx at a pixel center make the mean
