@@ -233,6 +233,9 @@ def cmd_order(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    for flag, value in (("--delta-out", args.delta_out), ("--order-b", args.order_b)):
+        if value and not args.trace_b:
+            raise ValueError(f"{flag} needs --trace-b")
     orders = [load_order(p) for p in args.order] if args.order else [None] * len(args.trace)
     if len(orders) not in (1, len(args.trace)):
         raise ValueError("give one --order per --trace, or a single shared one")

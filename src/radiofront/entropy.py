@@ -24,6 +24,7 @@ from .ordering import NO_PRED, CostField, OrderPi
 LTR_MAGIC = b"LTR1"
 _LTR1_FMT = "<II"  # n_steps, vocab
 LN2 = float(np.log(2.0))
+_BLOCK_LOGITS = 1 << 15  # logits per row block of the step-entropy kernel (256 KB of float64)
 
 
 def shannon_entropy(p) -> float:
@@ -34,15 +35,44 @@ def shannon_entropy(p) -> float:
 
 
 def _entropies(logits: np.ndarray, base2: bool) -> np.ndarray:
-    """Softmax entropy of each row of finite (n, vocab) logits."""
+    """Softmax entropy of each row of finite (n, vocab) float64 logits.
+
+    Rows are taken in blocks of at most _BLOCK_LOGITS logits (one row when
+    the vocab is larger), through scratch allocated once per call, so each
+    block's passes stay in cache.  A row's sums run over the same contiguous
+    values in any block, so the result does not depend on the blocking.
+    """
+    n, vocab = logits.shape
+    rows = min(n, max(1, _BLOCK_LOGITS // vocab))
     # C order: numpy sums Fortran-ordered rows in another order than 1D vectors
-    z = np.subtract(logits, logits.max(axis=1, keepdims=True), order="C")
-    p = np.exp(z)
-    total = p.sum(axis=1)
-    p /= total[:, np.newaxis]
-    p *= z
-    h = np.clip(np.log(total) - p.sum(axis=1), 0.0, np.log(z.shape[1]))
-    return h / LN2 if base2 else h
+    z = np.empty((rows, vocab))
+    p = np.empty((rows, vocab))
+    peak = np.empty((rows, 1))
+    total = np.empty(n)
+    h = np.empty(n)  # sum of p * z per row, then the entropy
+    # a row range beyond float64 overflows x - max to -inf, and 0 * -inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            block = logits[start:start + rows]
+            m = len(block)
+            zb, pb, tb = z[:m], p[:m], total[start:start + m]
+            np.max(block, axis=1, out=peak[:m], keepdims=True)
+            np.subtract(block, peak[:m], out=zb)
+            np.exp(zb, out=pb)
+            np.sum(pb, axis=1, out=tb)
+            pb /= tb[:, np.newaxis]
+            pb *= zb
+            np.sum(pb, axis=1, out=h[start:start + m])
+        np.log(total, out=total)
+        np.subtract(total, h, out=h)
+        np.clip(h, 0.0, np.log(vocab), out=h)
+        for i in np.flatnonzero(np.isnan(h)):
+            # the logits that overflowed carry zero probability: drop them
+            row = logits[i]
+            h[i] = _entropies(row[np.isfinite(row - row.max())][np.newaxis], False)[0]
+    if base2:
+        h /= LN2
+    return h
 
 
 def step_entropy(logits, base2: bool = False) -> float:

@@ -231,6 +231,19 @@ class TestEntropyCommand:
         grid = load_grid(delta)
         assert grid.height_px == 4 and grid.width_px == 4
 
+    @pytest.mark.parametrize("flag", ["--delta-out", "--order-b"])
+    def test_delta_flag_without_trace_b(self, tmp_path, capsys, flag):
+        t_a, _, o_path = self.make_traces(tmp_path)
+        profile = tmp_path / "profile.csv"
+        target = tmp_path / "given"
+        rc = main(
+            ["entropy", "--trace", str(t_a), "--order", str(o_path),
+             "--profile-csv", str(profile), flag, str(target)]
+        )
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {flag} needs --trace-b\n")
+        assert not profile.exists() and not target.exists()
+
 
 class TestMetricsCommand:
     def test_report(self, tmp_path, capsys):

@@ -2,9 +2,13 @@
 
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radiofront import (
     HeightMap,
@@ -26,7 +30,8 @@ from radiofront import (
     step_entropy,
     wavefront_order,
 )
-from radiofront.entropy import LN2, _cond_entropy
+from radiofront import entropy
+from radiofront.entropy import _BLOCK_LOGITS, LN2, _cond_entropy
 from radiofront.ordering import CostField
 
 
@@ -51,6 +56,26 @@ def step_entropy_oracle(z, base2=False):
     h = float(np.log(total) - (p * z).sum())
     h = min(max(h, 0.0), float(np.log(z.size)))
     return h / LN2 if base2 else h
+
+
+def entropies_reference(logits, base2=False):
+    """Softmax entropies of (n, vocab) float64 logits, each step one whole-array pass."""
+    # C order: numpy sums Fortran-ordered rows in another order than 1D vectors
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), order="C")
+    p = np.exp(z)
+    total = p.sum(axis=1)
+    p /= total[:, np.newaxis]
+    p *= z
+    h = np.clip(np.log(total) - p.sum(axis=1), 0.0, np.log(z.shape[1]))
+    return h / LN2 if base2 else h
+
+
+def laid_out(big, n, vocab, layout):
+    """An (n, vocab) view or copy of the (2n, 3 vocab) array big in the given layout."""
+    if layout == "strided":
+        return big[::2, ::3]
+    corner = big[:n, :vocab]
+    return np.asfortranarray(corner) if layout == "F" else np.ascontiguousarray(corner)
 
 
 def limited_context_oracle(joint, order, k):
@@ -107,17 +132,115 @@ class TestStepEntropiesOracle:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_rows_match_oracle(self, layout, base2):
         rng = np.random.default_rng(23)
-        for shape in [(1, 1), (6, 1), (1, 40), (37, 53), (64, 1024), (1024, 64)]:
-            big = rng.normal(scale=rng.uniform(0.1, 20.0), size=(2 * shape[0], 3 * shape[1]))
-            z = {
-                "C": np.ascontiguousarray(big[: shape[0], : shape[1]]),
-                "F": np.asfortranarray(big[: shape[0], : shape[1]]),
-                "strided": big[::2, ::3],
-            }[layout]
+        for n, vocab in [(1, 1), (6, 1), (1, 40), (37, 53), (64, 1024), (1024, 64)]:
+            big = rng.normal(scale=rng.uniform(0.1, 20.0), size=(2 * n, 3 * vocab))
+            z = laid_out(big, n, vocab, layout)
             trace = LogitTrace(z)
             expected = np.array([step_entropy_oracle(row, base2) for row in z])
             assert np.array_equal(trace.step_entropies(base2), expected)
+            assert np.array_equal(entropies_reference(z, base2), expected)
             assert step_entropy(z[-1], base2) == expected[-1]
+
+    @pytest.mark.parametrize("base2", [False, True])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_block_edges_match_reference(self, layout, base2):
+        rows = _BLOCK_LOGITS // 1000  # rows per block at vocab 1000
+        shapes = [
+            (3, _BLOCK_LOGITS + 7),  # vocab above the block: one row per block
+            (rows - 1, 1000), (rows, 1000), (rows + 1, 1000),
+            (3 * (_BLOCK_LOGITS // 1024), 1024),  # three full blocks, no partial one
+        ]
+        rng = np.random.default_rng(31)
+        for n, vocab in shapes:
+            big = rng.normal(scale=rng.uniform(0.1, 20.0), size=(2 * n, 3 * vocab))
+            z = laid_out(big, n, vocab, layout)
+            expected = entropies_reference(z, base2)
+            assert np.array_equal(LogitTrace(z).step_entropies(base2), expected)
+            assert np.array_equal(expected, [step_entropy_oracle(row, base2) for row in z])
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_any_block_gives_the_reference(self, data):
+        # blocks of a few logits put block edges everywhere, and below the vocab
+        block = data.draw(st.one_of(st.just(_BLOCK_LOGITS), st.integers(1, 200)))
+        n, vocab = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 60))
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        base2 = data.draw(st.booleans())
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        z = laid_out(rng.normal(scale=scale, size=(2 * n, 3 * vocab)), n, vocab, layout)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_BLOCK_LOGITS", block)
+            h = LogitTrace(z).step_entropies(base2)
+        assert np.array_equal(h, entropies_reference(z, base2))
+
+
+class TestOverflowingRowRange:
+    """Finite logits further apart than float64's max still give [0, log vocab]."""
+
+    def test_step_entropy(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert step_entropy([1e308, -1e308]) == 0.0
+            assert step_entropy([1e308, 1e308, -1e308]) == pytest.approx(math.log(2), abs=1e-15)
+            assert step_entropy([-1e308, 1e308, 0.0], base2=True) == 0.0
+
+    def test_trace_profile_and_delta(self):
+        z = np.random.default_rng(41).normal(size=(9, 16))
+        z[4, :2] = 1e308, -1e308
+        trace = LogitTrace(z, raster_order(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = trace.step_entropies()
+            prof = entropy_profile([trace])
+            dh = delta_h_map(trace, trace)
+        assert h[4] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = entropies_reference(z)
+        # rows whose range does not overflow keep the reference's bits
+        assert np.array_equal(np.delete(h, 4), np.delete(expected, 4))
+        assert np.array_equal(prof.mean, h) and np.isfinite(prof.overall_mean)
+        assert np.array_equal(dh.grid, np.zeros((3, 3)))
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_any_finite_logits(self, data):
+        n, vocab = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        top = np.finfo(np.float64).max
+        finite = st.one_of(
+            st.sampled_from([1e308, -1e308, top, -top]),
+            st.floats(-30, 30),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        z = data.draw(arrays(np.float64, (n, vocab), elements=finite))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = LogitTrace(z).step_entropies()
+        assert np.all((h >= 0.0) & (h <= np.log(vocab)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = entropies_reference(z)
+        kept = ~np.isnan(expected)
+        assert np.array_equal(h[kept], expected[kept])
+
+
+class TestStepEntropiesMemory:
+    def test_peak_is_the_output_plus_block_scratch(self):
+        n = 4096
+        trace = LogitTrace(np.random.default_rng(37).normal(size=(n, 1024)))
+        tracemalloc.start()
+        try:
+            trace.step_entropies()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-array pass holds two (n, vocab) float64 temporaries: 64 MB here
+        assert peak <= 3 * n * 8 + 4 * _BLOCK_LOGITS * 8 < 2 << 20
 
 
 def uniform_block_logits(n_steps, vocab, active):
