@@ -33,6 +33,7 @@ from .grids import (
     Scene,
     TxConfig,
     UNIT_DB,
+    UNIT_METERS,
     ValidationError,
     atomic_write,
     denormalize_db,
@@ -128,10 +129,13 @@ def _number_list(cast):
     return parse
 
 
-def _load_any_grid(path: str, csv_unit: str = UNIT_DB):
-    if path.endswith(".csv"):
-        return grid_from_csv(path, unit=csv_unit)
-    return load_grid(path)
+def _load_any_grid(path: str, kind: type[HeightMap] | type[RadioField]):
+    """The grid of class kind in an RGF1 or CSV file (a CSV holds meters or dB)."""
+    unit, what = (UNIT_METERS, "a height map") if kind is HeightMap else (UNIT_DB, "a radio field")
+    grid = grid_from_csv(path, unit=unit) if path.endswith(".csv") else load_grid(path)
+    if not isinstance(grid, kind):
+        raise ValueError(f"{path} does not contain {what}")
+    return grid
 
 
 # scene option (and manifest key) -> TxConfig field; RxConfig fields keep their names
@@ -153,9 +157,7 @@ def _scene_from_args(args) -> Scene:
     opts.update(_given(**{k: getattr(args, k) for k in _SCENE_KEYS}))
     if "heightmap" not in opts:
         raise ValueError("a height map is required (--heightmap or a manifest)")
-    grid = _load_any_grid(opts["heightmap"], csv_unit="meters")
-    if not isinstance(grid, HeightMap):
-        raise ValueError(f"{opts['heightmap']} does not contain a height map")
+    grid = _load_any_grid(opts["heightmap"], HeightMap)
     if "tx_x" not in opts or "tx_y" not in opts:
         raise ValueError("transmitter position required (--tx-x/--tx-y or a manifest)")
     tx = TxConfig(**{field: opts[k] for k, field in _TX_FIELDS.items() if k in opts})
@@ -203,10 +205,7 @@ def cmd_order(args) -> int:
     elif args.kind == "truepl":
         if not args.field:
             raise ValueError("--field is required for the truePL order")
-        fld = _load_any_grid(args.field)
-        if not isinstance(fld, RadioField):
-            raise ValueError(f"{args.field} does not contain a radio field")
-        order = true_pl_order(fld, patches)
+        order = true_pl_order(_load_any_grid(args.field, RadioField), patches)
     else:
         order = GEOMETRIC_ORDERS[args.kind](patches.n_side)
 
@@ -260,10 +259,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    pred = _load_any_grid(args.pred)
-    gt = _load_any_grid(args.gt)
-    if not isinstance(pred, RadioField) or not isinstance(gt, RadioField):
-        raise ValueError("metrics needs two radio fields")
+    pred = _load_any_grid(args.pred, RadioField)
+    gt = _load_any_grid(args.gt, RadioField)
     window = _given(lo=args.norm_lo, hi=args.norm_hi)
     if pred.unit == UNIT_DB:
         pred_db, gt_db = pred, gt

@@ -276,37 +276,42 @@ def read_container(path: str | Path, magic: bytes, fmt: str, shape) -> tuple[tup
     return fields, values.reshape(dims)
 
 
+def _volume(grid: HeightMap | RadioField) -> tuple[str, np.ndarray]:
+    """A grid's unit and its (depth, h, w) values: a height map is one meters slice."""
+    if isinstance(grid, HeightMap):
+        return UNIT_METERS, grid.values[np.newaxis]
+    if isinstance(grid, RadioField):
+        return grid.unit, grid.values
+    raise TypeError(f"cannot save {type(grid).__name__} as a grid")
+
+
+def _grid(path: str | Path, unit: str, values: np.ndarray, resolution: float):
+    """The grid of a file's (depth, h, w) values, or GridFormatError starting with path."""
+    try:
+        if unit != UNIT_METERS:
+            return RadioField(values, unit, resolution)
+        if len(values) != 1:
+            raise ValidationError(f"height map must have depth 1, got {len(values)}")
+        return HeightMap(values[0], resolution)
+    except ValidationError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
+
+
 def save_grid(grid: HeightMap | RadioField, path: str | Path) -> None:
     """Write a grid in RGF1 format; load_grid inverts it bit-exactly."""
-    if isinstance(grid, HeightMap):
-        tag = _UNIT_TAGS[UNIT_METERS]
-        values = grid.values[np.newaxis, :, :]
-    elif isinstance(grid, RadioField):
-        tag = _UNIT_TAGS[grid.unit]
-        values = grid.values
-    else:
-        raise TypeError(f"cannot save {type(grid).__name__} as a grid")
-    depth, height, width = values.shape
-    fields = (tag, width, height, depth, float(grid.resolution))
+    unit, values = _volume(grid)
+    fields = (_UNIT_TAGS[unit], *values.shape[::-1], float(grid.resolution))  # width, height, depth
     write_container(path, MAGIC, _RGF1_FMT, fields, values)
 
 
 def load_grid(path: str | Path) -> HeightMap | RadioField:
     """Read an RGF1 grid; the unit tag decides HeightMap vs RadioField."""
-    (tag, _, _, depth, resolution), values = read_container(
+    (tag, *_, resolution), values = read_container(
         path, MAGIC, _RGF1_FMT, lambda tag, w, h, d, res: (d, h, w)
     )
     if tag not in _TAG_UNITS:
         raise GridFormatError(f"{path}: unknown unit tag {tag}")
-    unit = _TAG_UNITS[tag]
-    if unit == UNIT_METERS and depth != 1:
-        raise GridFormatError(f"{path}: height map must have depth 1, got {depth}")
-    try:
-        if unit == UNIT_METERS:
-            return HeightMap(values[0], float(resolution))
-        return RadioField(values, unit, float(resolution))
-    except ValidationError as exc:
-        raise GridFormatError(f"{path}: {exc}") from None
+    return _grid(path, _TAG_UNITS[tag], values, float(resolution))
 
 
 def grid_from_csv(
@@ -366,17 +371,12 @@ def grid_from_csv(
     reject_first(np.bincount(flat)[flat] > 1, "duplicate cell")
     values = np.empty(len(vals))
     values[flat] = vals  # no duplicates among width*height*depth rows: every cell set
-    values = values.reshape(depth, height, width)
-    if unit == UNIT_METERS:
-        if depth != 1:
-            raise GridFormatError(f"{path}: height map must have depth 1")
-        return HeightMap(values[0], resolution)
-    return RadioField(values, unit, resolution)
+    return _grid(path, unit, values.reshape(depth, height, width), resolution)
 
 
 def grid_to_csv(grid: HeightMap | RadioField, path: str | Path) -> None:
     """Export a grid as ``x,y,z,value`` CSV ('.' decimal, locale-free)."""
-    values = grid.values[np.newaxis] if isinstance(grid, HeightMap) else grid.values
+    _, values = _volume(grid)
     xs = [str(x) for x in range(values.shape[2])]
     lines = [",".join(_CSV_HEADER) + "\r\n"]
     for z, plane in enumerate(values):
