@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: anchor, order, entropy, metrics, synth, selftest.  Every run is
-deterministic given identical inputs and --seed; every writer except the
-``x,y,z,value`` grid export replaces files atomically.
+deterministic given identical inputs and --seed; every writer replaces files
+atomically.
 
 Option precedence is CLI flag > config file > scene manifest > library
 default.  The config file (--config or the RADIOFRONT_CONFIG environment

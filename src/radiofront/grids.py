@@ -253,9 +253,23 @@ def write_table(path: str | Path, columns, rows) -> None:
 
 
 def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) -> None:
-    """Write magic, the header fields packed with struct format fmt, then values as <f4."""
-    header = magic + struct.pack(fmt, *fields)
-    atomic_write(path, header + values.astype("<f4").tobytes())
+    """Write magic, the header fields packed with struct format fmt, then values as <f4.
+
+    A value or header float that float32 cannot hold raises ValidationError
+    naming path, so no file is written that its reader would refuse: one
+    beyond the float32 range, or a nonzero header float that rounds to 0.
+    """
+    header = np.array([f for f in fields if isinstance(f, float)])
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4")
+        header32 = header.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise ValidationError(f"{path}: a value lies beyond the float32 range (+-3.4e38)")
+    fits = np.isfinite(header32) & ((header32 != 0) | (header == 0))
+    if not fits.all():
+        bad = float(header[~fits][0])
+        raise ValidationError(f"{path}: header value {bad!r} does not fit float32")
+    atomic_write(path, magic + struct.pack(fmt, *fields) + payload.tobytes())
 
 
 def read_container(path: str | Path, magic: bytes, fmt: str, shape) -> tuple[tuple, np.ndarray]:
@@ -319,9 +333,10 @@ def grid_from_csv(
 ) -> HeightMap | RadioField:
     """Import a dense grid from UTF-8 CSV with header ``x,y,z,value``.
 
-    x is the column index, y the row index, z the slice index.  Every cell
-    of the implied (z, y, x) box must be present exactly once, with a finite
-    value (and a non-negative one for meters).
+    x is the column index, y the row index, z the slice index.  Each row
+    holds exactly these four fields.  Every cell of the implied (z, y, x) box
+    must be present exactly once, with a finite value (and a non-negative one
+    for meters).
     """
     cells, vals, lines = array("q"), array("d"), array("q")  # cells: x, y, z per row
     try:
@@ -330,17 +345,18 @@ def grid_from_csv(
             header = [c.strip().lower() for c in next(reader, [])]
             if header == _CSV_HEADER:
                 add_cell, add_val, add_line = cells.append, vals.append, lines.append
-                for r in reader:
-                    add_cell(int(r[0]))
-                    add_cell(int(r[1]))
-                    add_cell(int(r[2]))
-                    add_val(float(r[3]))
+                for x, y, z, v in reader:  # a row of any other length raises ValueError
+                    add_cell(int(x))
+                    add_cell(int(y))
+                    add_cell(int(z))
+                    add_val(float(v))
                     add_line(reader.line_num)
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
-    except (IndexError, ValueError, csv.Error):
+    except (ValueError, csv.Error):
         raise GridFormatError(
-            f"{path}: line {reader.line_num}: expected integer x,y,z and a numeric value"
+            f"{path}: line {reader.line_num}: "
+            "expected four fields, integer x,y,z and a numeric value"
         ) from None
     except OverflowError:
         raise GridFormatError(f"{path}: line {reader.line_num}: cell index beyond int64") from None

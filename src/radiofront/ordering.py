@@ -72,6 +72,8 @@ class PatchGrid:
         h = scene.heightmap
         if h.width_px != h.height_px:
             raise ValidationError("patch grid requires a square map")
+        if patch_px < 1:
+            raise ValidationError(f"patch_px must be >= 1, got {patch_px}")
         if h.width_px % patch_px != 0:
             raise ValidationError(
                 f"patch_px {patch_px} does not divide map side {h.width_px}"
@@ -194,7 +196,13 @@ def _blocked_lengths(scene: Scene, a, b, alpha: float, clamp: float) -> np.ndarr
     """Length of each segment a[i] -> b[i] divided by max(1 - beta, clamp)^alpha."""
     h = scene.heightmap
     beta = blockage_ratio_batch(h.values, h.resolution, a, b)
-    return np.linalg.norm(b - a, axis=1) / np.maximum(1.0 - beta, clamp) ** alpha
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite cost is reported
+        cost = np.linalg.norm(b - a, axis=1) / np.maximum(1.0 - beta, clamp) ** alpha
+    if not np.isfinite(cost).all():
+        raise ValidationError(
+            f"blockage exponent {alpha!r} with beta_clamp {clamp!r} overflows a segment cost"
+        )
+    return cost
 
 
 def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = None) -> CostField:

@@ -59,8 +59,11 @@ def link_threshold(tx: TxConfig) -> LinkBudget:
 
 
 def _sample_counts(lengths: np.ndarray, resolution: float) -> np.ndarray:
-    """One sample per pixel-length of ray, at least two."""
-    counts = np.ceil(lengths / resolution)
+    """One sample per pixel-length of ray, at least two; lengths holds one entry per ray."""
+    if not np.isfinite(lengths).all():
+        raise ValidationError("a ray is too long to sample: its length overflows float64")
+    with np.errstate(over="ignore"):
+        counts = np.ceil(lengths / resolution)
     if np.any(counts >= 2.0**63):
         raise ValidationError(f"resolution {resolution!r} m asks for over 2**63 samples on one ray")
     return np.maximum(2, counts.astype(np.int64))
@@ -118,10 +121,12 @@ def _blockage(
     flat_heights = np.ravel(np.asarray(heights, dtype=np.float64))
     ux = bx - a[:, 0]
     uy = by - a[:, 1]
-    uz = bz - a[:, 2]
-    uz *= uz
-    counts = _sample_counts(np.sqrt((ux * ux + uy * uy) + uz), resolution).T.ravel()
-    del uz
+    with np.errstate(over="ignore"):  # an overflow leaves an infinite length, which is reported
+        uz = bz - a[:, 2]
+        uz *= uz
+        lengths = np.sqrt((ux * ux + uy * uy) + uz)
+    counts = _sample_counts(lengths, resolution).T.ravel()
+    del uz, lengths
     order = np.argsort(counts, kind="stable")  # member index ray * S + slice
     counts = counts[order]
     ray = order // n_s

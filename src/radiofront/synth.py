@@ -10,11 +10,12 @@ transmitter behind obstacle rows, an urban canyon, and sparse obstacles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB
+from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError
 from .metrics import _windowed_mean
 from .propagation import anchor_volume
 
@@ -141,8 +142,20 @@ def gen_field(
 
     With noise_sigma=0 and smooth_sigma=0 the result is exactly the anchor
     map at every receiver slice.  clamp=(top, bottom) clips to a dataset's
-    pathloss range.
+    pathloss range.  A negative or non-finite sigma raises ValidationError;
+    it never switches its step off.  So does a smooth_sigma whose kernel
+    radius, int(4 * sigma + 0.5) px, exceeds the larger map side: a wider
+    kernel only adds weight on replicated border pixels, while its padding
+    grows with sigma squared.
     """
+    for name, sigma in (("noise_sigma", noise_sigma), ("smooth_sigma", smooth_sigma)):
+        if not 0 <= sigma < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, got {sigma!r}")
+    side = max(scene.heightmap.height_px, scene.heightmap.width_px)
+    if int(4 * smooth_sigma + 0.5) > side:
+        raise ValidationError(
+            f"smooth_sigma {smooth_sigma!r} px gives a kernel radius beyond the {side} px map"
+        )
     values = anchor_volume(scene).values
     if smooth_sigma > 0:
         values = _smooth(values, smooth_sigma)

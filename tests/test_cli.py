@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,13 @@ class TestMetricsCommand:
         values = dict(zip(header.split(","), (float(v) for v in row.split(","))))
         assert values["nmse"] > 0 and values["rmse_db"] > 0
 
+    def test_height_map_input_is_named(self, tmp_path, city, capsys):
+        save_grid(RadioField(np.full((1, 32, 32), -80.0), UNIT_DB), tmp_path / "gt.rgf")
+        argv = ["metrics", "--pred", str(city), "--gt", str(tmp_path / "gt.rgf"),
+                "--report", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {city} does not contain a radio field\n"
+
     def test_normalized_inputs(self, tmp_path):
         rng = np.random.default_rng(8)
         from radiofront import UNIT_NORM01
@@ -503,6 +511,40 @@ class TestReaderErrors:
         )
         assert rc == 1
         self.assert_one_error_line(capsys, "samples on one ray")
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--smooth-sigma=-1"], "smooth_sigma must be finite and >= 0, got -1.0"),
+            (["--noise-sigma=-1"], "noise_sigma must be finite and >= 0, got -1.0"),
+            (["--noise-sigma", "1e300"], "field.rgf: a value lies beyond the float32 range"),
+            (["--height-range", "0,1e39"], "heightmap.rgf: a value lies beyond the float32 range"),
+            (["--resolution", "1e39"], "heightmap.rgf: header value 1e+39 does not fit float32"),
+            (["--resolution", "1e300"], "a ray is too long to sample"),
+            (["--n-z", "2", "--dz", "1e308"], "a ray is too long to sample"),
+        ],
+    )
+    def test_synth_value_out_of_range(self, tmp_path, capsys, flags, needle):
+        argv = ["synth", "--out-dir", str(tmp_path), "--side-px", "12", "--n-buildings", "2",
+                "--footprint-range", "1,3", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        self.assert_one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--patch-px", "0"], "patch_px must be >= 1, got 0"),
+            (["--alpha-nlos", "1e300"], "blockage exponent 1e+300 with beta_clamp 1e-06 overflows"),
+        ],
+    )
+    def test_order_value_out_of_range(self, tmp_path, city, capsys, flags, needle):
+        argv = ["order", *tx_flags(city), "--out", str(tmp_path / "o.json"), *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        self.assert_one_error_line(capsys, needle)
 
     def test_malformed_order_file(self, tmp_path, capsys):
         save_trace(LogitTrace(np.zeros((4, 3))), tmp_path / "t.ltr")

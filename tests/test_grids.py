@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,38 @@ class TestRgf1RoundTrip:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
             load_grid(p)
+
+
+class TestWriterRange:
+    """A writer refuses, naming the file and without a warning, what its reader would refuse."""
+
+    @pytest.mark.parametrize(
+        "write, needle",
+        [
+            (lambda p: save_trace(LogitTrace([[1e39, 0.0]]), p), "a value lies beyond the float32 range"),
+            (lambda p: save_grid(HeightMap([[1e39]], 1.0), p), "a value lies beyond the float32 range"),
+            (lambda p: save_grid(RadioField([[-1e39]], UNIT_DB), p), "a value lies beyond the float32 range"),
+            (lambda p: save_grid(HeightMap([[1.0]], 1e39), p), "header value 1e+39 does not fit float32"),
+            (lambda p: save_grid(HeightMap([[1.0]], 1e-300), p), "header value 1e-300 does not fit float32"),
+        ],
+        ids=["trace-logit", "height", "field-value", "huge-resolution", "tiny-resolution"],
+    )
+    def test_value_float32_cannot_hold(self, tmp_path, write, needle):
+        p = tmp_path / "out.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^" + re.escape(f"{p}: {needle}")):
+                write(p)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        values = np.array([[float(f32.max), -float(f32.max), float(f32.smallest_subnormal), 1e-300]])
+        p = tmp_path / "edge.rgf"
+        save_grid(RadioField(values, UNIT_DB, float(f32.smallest_subnormal)), p)
+        back = load_grid(p)
+        assert np.array_equal(back.values, values.astype(np.float32)[np.newaxis])
+        assert back.resolution == float(f32.smallest_subnormal)
 
 
 class TestInvariants:
@@ -256,7 +289,7 @@ class TestCsv:
         with pytest.raises(GridFormatError, match="neg.csv"):
             grid_from_csv(p)
 
-    @pytest.mark.parametrize("row", ["0,0,0", "0,a,0,1.0", "0,0,0,x"])
+    @pytest.mark.parametrize("row", ["0,0,0", "0,a,0,1.0", "0,0,0,x", "0,0,0,1.5,junk"])
     def test_malformed_row_rejected(self, tmp_path, row):
         p = tmp_path / "short.csv"
         p.write_text(f"x,y,z,value\n{row}\n")

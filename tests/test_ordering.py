@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ class TestWavefrontOrder:
         for i in range(pg.n_patches):
             if i != costs.source:
                 assert costs.d[costs.pred[i]] < costs.d[i]
+
+
+class TestBadParameters:
+    """A bad patch size or exponent ends in ValidationError, never a numpy fault."""
+
+    @pytest.mark.parametrize("patch_px", [0, -8])
+    def test_patch_px_below_one_is_refused_before_dividing(self, patch_px):
+        with pytest.raises(ValidationError, match=f"patch_px must be >= 1, got {patch_px}"):
+            PatchGrid.for_scene(wall_scene(), patch_px=patch_px)
+
+    @pytest.mark.parametrize(
+        "params", [OrderParams(alpha_nlos=1e300), OrderParams(alpha_los=1e300), OrderParams(beta_clamp=1e-300)]
+    )
+    def test_overflowing_segment_cost_is_named(self, params):
+        sc = wall_scene()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows a segment cost"):
+                wavefront_order(sc, PatchGrid.for_scene(sc, patch_px=8), params)
 
 
 class TestBruteforceOracle:

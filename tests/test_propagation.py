@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,18 @@ class TestSampleCounts:
         sc = Scene(hm, TxConfig(0.0, 0.0, 3.0))
         with pytest.raises(ValidationError, match=re.escape("resolution 1e-30 m")):
             anchor_map(sc)
+
+    @pytest.mark.parametrize(
+        "resolution, rx",
+        [(1e300, RxConfig()), (1.0, RxConfig(z_rx=1e300)), (1.0, RxConfig(n_z=2, dz=1e308))],
+        ids=["wide-pixels", "high-receiver", "slice-spacing"],
+    )
+    def test_overflowing_ray_length_is_named_without_a_warning(self, resolution, rx):
+        sc = Scene(HeightMap(np.zeros((2, 2)), resolution), TxConfig(0.5 * resolution, 0.5 * resolution), rx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="ray is too long to sample: its length overflows"):
+                anchor_volume(sc)
 
 
 class TestAnchorMap:

@@ -1,5 +1,6 @@
 """Procedural city and pseudo ground-truth generation."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from radiofront import (
     RxConfig,
     Scene,
     TxConfig,
+    ValidationError,
     anchor_map,
     dataset_profile,
     euclidean_order,
@@ -115,6 +117,21 @@ class TestGenField:
     def scene(self, n_z=1):
         p = CityParams(side_px=32, n_buildings=4, footprint_range=(3, 8), seed=5)
         return gen_scene(p, rx=RxConfig(z_rx=1.5, n_z=n_z, dz=1.0))
+
+    @pytest.mark.parametrize(
+        "name, sigma", [("noise_sigma", -1.0), ("smooth_sigma", -0.5), ("noise_sigma", np.inf),
+                        ("smooth_sigma", np.nan)]
+    )
+    def test_bad_sigma_is_refused_not_switched_off(self, name, sigma):
+        with pytest.raises(ValidationError, match=f"{name} must be finite and >= 0, got {sigma!r}"):
+            gen_field(self.scene(), **{name: sigma})
+
+    @pytest.mark.parametrize("sigma", [8.2, 1e300])
+    def test_kernel_radius_is_bounded_by_the_map_side(self, sigma):
+        sc = self.scene()  # 32 px; the radius is int(4 * sigma + 0.5): 32 at sigma 8.1, 33 at 8.2
+        gen_field(sc, smooth_sigma=8.1)
+        with pytest.raises(ValidationError, match="kernel radius beyond the 32 px map"):
+            gen_field(sc, smooth_sigma=sigma)
 
     def test_noiseless_equals_anchor(self):
         sc = self.scene()
