@@ -70,7 +70,8 @@ class HeightMap:
     resolution: float  # meters per pixel
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        # an own copy: a view of the caller's array could change under a held anchor volume
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValidationError("height map must be 2D")
         _check_grid(values, self.resolution, "height map")
@@ -134,6 +135,9 @@ class RxConfig:
     dz: float = 1.0  # slice spacing, meters
 
     def __post_init__(self):
+        for name in ("z_rx", "dz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"rx parameter {name} must be finite")
         if self.n_z < 1:
             raise ValidationError("n_z must be >= 1")
         if self.n_z > 1 and not self.dz > 0:

@@ -37,6 +37,12 @@ class GenerationError(ValueError):
     """Placement could not satisfy the constraints within bounded retries."""
 
 
+def _check_seed(seed: int) -> None:
+    """numpy seeds its generators from non-negative integers only."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class CityParams:
     side_px: int = 256
@@ -47,6 +53,7 @@ class CityParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.side_px < 1 or self.resolution <= 0:
             raise ValueError("side_px must be >= 1 and resolution positive")
         lo, hi = self.height_range
@@ -141,13 +148,17 @@ def gen_field(
     """Pseudo ground truth: anchor map + smoothing + seeded dB noise.
 
     With noise_sigma=0 and smooth_sigma=0 the result is exactly the anchor
-    map at every receiver slice.  clamp=(top, bottom) clips to a dataset's
-    pathloss range.  A negative or non-finite sigma raises ValidationError;
-    it never switches its step off.  So does a smooth_sigma whose kernel
-    radius, int(4 * sigma + 0.5) px, exceeds the larger map side: a wider
-    kernel only adds weight on replicated border pixels, while its padding
-    grows with sigma squared.
+    map at every receiver slice.  The anchor volume is anchor_volume's: it
+    is computed once per live scene object, at most one is held, and a later
+    anchor_volume(scene) returns it without casting rays again.
+    clamp=(top, bottom) clips to a dataset's pathloss range.  A negative or
+    non-finite sigma raises ValidationError; it never switches its step off.
+    So does a smooth_sigma whose kernel radius, int(4 * sigma + 0.5) px,
+    exceeds the larger map side: a wider kernel only adds weight on
+    replicated border pixels, while its padding grows with sigma squared.
+    A negative seed raises ValidationError too.
     """
+    _check_seed(seed)
     for name, sigma in (("noise_sigma", noise_sigma), ("smooth_sigma", smooth_sigma)):
         if not 0 <= sigma < math.inf:
             raise ValidationError(f"{name} must be finite and >= 0, got {sigma!r}")
@@ -175,8 +186,16 @@ def _paint(heights: np.ndarray, r0: int, r1: int, c0: int, c1: int, h: float) ->
     heights[r0:r1, c0:c1] = h
 
 
+def _check_preset(name: str, seed: int, side_px: int, min_side: int) -> None:
+    _check_seed(seed)
+    if side_px < min_side:
+        raise ValidationError(f"preset {name!r} needs side_px >= {min_side}, got {side_px}")
+
+
 def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """Transmitter at the map edge behind staggered obstacle rows."""
+    # obstacles are side_px // 8 rows by side_px // 10 columns
+    _check_preset("edge", seed, side_px, 10)
     rng = np.random.default_rng(seed)
     heights = np.zeros((side_px, side_px))
     for k in range(3):
@@ -189,6 +208,8 @@ def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -
 
 def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """Parallel slabs forming street canyons with crossing corridors."""
+    # streets and corridors are side_px // 16 wide
+    _check_preset("canyon", seed, side_px, 16)
     rng = np.random.default_rng(seed)
     heights = np.zeros((side_px, side_px))
     slab = side_px // 10
@@ -203,6 +224,8 @@ def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1
 
 def preset_sparse(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """A handful of small isolated obstacles."""
+    # its four footprints, up to max(3, side_px // 10) px a side, fit two by two
+    _check_preset("sparse", seed, side_px, 6)
     params = CityParams(
         side_px=side_px,
         resolution=resolution,
@@ -237,6 +260,8 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     keeps the center-to-center rays clear under all eight map orientations;
     the seed picks the orientation and the rooftop texture.
     """
+    # side_px // 3 px patches must be wider than the two-pixel corridor
+    _check_preset("serpentine", seed, side_px, 12)
     if side_px % 6:
         raise ValueError(f"serpentine preset needs side_px divisible by 6, got {side_px}")
     rng = np.random.default_rng(seed)
@@ -260,7 +285,7 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     hm, tx_x, tx_y = _dihedral(
         heights, half * resolution, half * resolution, side_px * resolution, seed % 8
     )
-    return Scene(HeightMap(hm * 1.0, resolution), TxConfig(tx_x, tx_y))
+    return Scene(HeightMap(hm, resolution), TxConfig(tx_x, tx_y))
 
 
 PRESETS = {

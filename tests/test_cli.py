@@ -535,6 +535,27 @@ class TestReaderErrors:
     @pytest.mark.parametrize(
         "flags, needle",
         [
+            (["--z-rx", "nan"], "rx parameter z_rx must be finite"),
+            (["--n-z", "3", "--dz", "inf"], "rx parameter dz must be finite"),
+            (["--seed=-1"], "seed must be >= 0, got -1"),
+            (["--preset", "edge", "--seed=-1"], "seed must be >= 0, got -1"),
+            (["--preset", "edge", "--side-px", "1"], "preset 'edge' needs side_px >= 10, got 1"),
+            (["--preset", "canyon", "--side-px", "6"], "preset 'canyon' needs side_px >= 16, got 6"),
+            (["--preset", "sparse", "--side-px", "2"], "preset 'sparse' needs side_px >= 6, got 2"),
+        ],
+    )
+    def test_synth_names_the_bad_value(self, tmp_path, capsys, flags, needle):
+        argv = ["synth", "--out-dir", str(tmp_path), "--side-px", "12", "--n-buildings", "2",
+                "--footprint-range", "1,3", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        self.assert_one_error_line(capsys, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
             (["--patch-px", "0"], "patch_px must be >= 1, got 0"),
             (["--alpha-nlos", "1e300"], "blockage exponent 1e+300 with beta_clamp 1e-06 overflows"),
         ],

@@ -182,6 +182,22 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="extent"):
             Scene(hm, TxConfig(4.2, 1.0, 1.5, 5.9e9))
 
+    @pytest.mark.parametrize("name", ["z_rx", "dz"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_z", [1, 3])
+    def test_rx_parameters_must_be_finite(self, name, value, n_z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"rx parameter {name} must be finite"):
+                RxConfig(n_z=n_z, **{name: value})
+
+    def test_height_map_copies_its_input(self):
+        base = np.zeros((8, 8))
+        hm = HeightMap(base[:], 1.0)
+        base[3, 3] = 9.0
+        assert hm.values[3, 3] == 0.0
+        assert base.flags.writeable and not hm.values.flags.writeable
+
     def test_rx_slices(self):
         rx = RxConfig(z_rx=10.0, n_z=5, dz=2.0)
         assert np.allclose(rx.slice_heights(), [6.0, 8.0, 10.0, 12.0, 14.0])

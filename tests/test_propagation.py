@@ -1,9 +1,15 @@
 """Free-space pathloss, link budget, blockage ratio, anchor map."""
 
+import gc
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,6 +339,113 @@ class TestBlockageMemory:
         map_peak = traced_peak(lambda: anchor_map(scene))
         volume_peak = traced_peak(lambda: anchor_volume(scene))
         assert volume_peak <= map_peak + 3 * 256 * 256 * 8
+
+
+def count_casts(monkeypatch):
+    """Route propagation._anchor_slices through a counter; returns the list of calls."""
+    calls = []
+    cold = propagation._anchor_slices
+
+    def counted(scene, zs):
+        calls.append(scene)
+        return cold(scene, zs)
+
+    monkeypatch.setattr(propagation, "_anchor_slices", counted)
+    return calls
+
+
+class TestAnchorVolumeCache:
+    def scene(self, seed=2, n_z=2):
+        return Scene(random_city(seed, side_px=48).heightmap, TxConfig(20.5, 24.5), RxConfig(n_z=n_z))
+
+    def test_repeat_call_returns_the_same_field(self, monkeypatch):
+        calls = count_casts(monkeypatch)
+        sc = self.scene()
+        first = anchor_volume(sc)
+        assert anchor_volume(sc) is first
+        assert len(calls) == 1
+        assert not first.values.flags.writeable
+
+    def test_cached_volume_equals_a_cold_one(self):
+        sc = self.scene()
+        anchor_volume(sc)
+        cached = anchor_volume(sc)
+        fresh = Scene(HeightMap(sc.heightmap.values, sc.heightmap.resolution), replace(sc.tx), replace(sc.rx))
+        cold = propagation._anchor_slices(fresh, fresh.rx.slice_heights())
+        assert np.array_equal(cached.values, cold.values)
+
+    def test_other_scene_objects_miss(self, monkeypatch):
+        calls = count_casts(monkeypatch)
+        sc = self.scene()
+        volume = anchor_volume(sc)
+        others = [
+            Scene(sc.heightmap, sc.tx, sc.rx),  # equal, not the same object
+            sc.with_tx(x=30.5),
+            replace(sc, rx=RxConfig(n_z=3)),
+        ]
+        for other in others:
+            assert anchor_volume(other) is not volume
+        assert calls == [sc, *others]
+        assert np.array_equal(anchor_volume(others[0]).values, volume.values)
+        assert not np.array_equal(anchor_volume(others[1]).values, volume.values)
+        assert anchor_volume(others[2]).n_z == 3
+
+    def test_alternating_scenes_get_their_own_volumes(self):
+        a, b = self.scene(seed=2), self.scene(seed=3)
+        cold_a = propagation._anchor_slices(a, a.rx.slice_heights()).values
+        cold_b = propagation._anchor_slices(b, b.rx.slice_heights()).values
+        assert not np.array_equal(cold_a, cold_b)
+        for _ in range(2):
+            assert np.array_equal(anchor_volume(a).values, cold_a)
+            assert np.array_equal(anchor_volume(b).values, cold_b)
+
+    def test_threads_sharing_the_cache_each_get_their_own_volume(self):
+        scenes = [flat_scene(side=8, tx=(k + 0.5, 2.5)).with_tx(z=float(k)) for k in range(4)]
+        colds = [propagation._anchor_slices(sc, sc.rx.slice_heights()).values for sc in scenes]
+        wrong = []
+        start = threading.Barrier(len(scenes))
+
+        def work(k):
+            start.wait(timeout=60)
+            for _ in range(100):
+                if not np.array_equal(anchor_volume(scenes[k]).values, colds[k]):
+                    wrong.append(k)
+                time.sleep(0)  # yield, so the threads take turns and keep replacing the entry
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(scenes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_volume_is_released_with_its_scene(self):
+        sc = self.scene()
+        volume = weakref.ref(anchor_volume(sc))
+        gc.collect()
+        assert volume() is not None  # held for the live scene
+        del sc
+        gc.collect()
+        assert volume() is None
+
+    def test_writes_to_the_source_array_do_not_reach_the_volume(self):
+        base = np.zeros((16, 16))
+        hm = HeightMap(base[:], 1.0)
+        sc = Scene(hm, TxConfig(2.5, 8.5))
+        before = anchor_volume(sc).values.copy()
+        assert base.flags.writeable
+        base[:, 8] = 50.0
+        base[3, 3] = 9.0
+        assert not hm.values.any()
+        assert np.array_equal(anchor_volume(sc).values, before)
+        walled = anchor_volume(Scene(HeightMap(base, 1.0), sc.tx))
+        assert not np.array_equal(walled.values, before)
 
 
 class TestSampleCounts:

@@ -19,6 +19,7 @@ from radiofront import (
     TxConfig,
     ValidationError,
     anchor_map,
+    anchor_volume,
     dataset_profile,
     euclidean_order,
     gen_city,
@@ -31,6 +32,7 @@ from radiofront import (
     rasterize_tx,
     true_pl_order,
 )
+from radiofront import propagation
 from radiofront.synth import _smooth
 
 
@@ -86,6 +88,10 @@ class TestGenCity:
         with pytest.raises(GenerationError):
             gen_city(p)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            CityParams(seed=-1)
+
     def test_dataset_profiles(self):
         assert dataset_profile("radiomapseer").height_range == (25.0, 25.0)
         assert dataset_profile("urbanradio3d").height_range == (6.6, 19.8)
@@ -126,12 +132,27 @@ class TestGenField:
         with pytest.raises(ValidationError, match=f"{name} must be finite and >= 0, got {sigma!r}"):
             gen_field(self.scene(), **{name: sigma})
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
+            gen_field(self.scene(), noise_sigma=1.0, seed=-2)
+
     @pytest.mark.parametrize("sigma", [8.2, 1e300])
     def test_kernel_radius_is_bounded_by_the_map_side(self, sigma):
         sc = self.scene()  # 32 px; the radius is int(4 * sigma + 0.5): 32 at sigma 8.1, 33 at 8.2
         gen_field(sc, smooth_sigma=8.1)
         with pytest.raises(ValidationError, match="kernel radius beyond the 32 px map"):
             gen_field(sc, smooth_sigma=sigma)
+
+    def test_field_and_anchor_volume_cast_the_fan_once(self, monkeypatch):
+        calls = []
+        cold = propagation._anchor_slices
+        monkeypatch.setattr(propagation, "_anchor_slices", lambda sc, zs: calls.append(sc) or cold(sc, zs))
+        sc = self.scene(n_z=2)
+        fld = gen_field(sc, noise_sigma=2.0, seed=3, smooth_sigma=1.0)
+        anchor = anchor_volume(sc)
+        assert calls == [sc]
+        assert np.array_equal(anchor.values, cold(sc, sc.rx.slice_heights()).values)
+        assert np.array_equal(fld.values, gen_field_oracle(sc, noise_sigma=2.0, seed=3, smooth_sigma=1.0))
 
     def test_noiseless_equals_anchor(self):
         sc = self.scene()
@@ -256,6 +277,24 @@ class TestPresets:
                 parent = int(costs.pred[i])
                 if parent >= 0 and parent != costs.source:
                     assert pos[parent] == pos[i] - 1
+
+    @pytest.mark.parametrize(
+        "name, preset, min_side",
+        [("edge", preset_edge_tx, 10), ("canyon", preset_urban_canyon, 16), ("sparse", preset_sparse, 6),
+         ("serpentine", preset_serpentine, 12)],
+    )
+    def test_too_small_side_names_the_preset(self, name, preset, min_side):
+        for side in (min_side - 1, 1, 0):
+            with pytest.raises(ValidationError, match=f"preset '{name}' needs side_px >= {min_side}, got {side}"):
+                preset(seed=0, side_px=side)
+        sc = preset(seed=0, side_px=min_side)
+        assert sc.heightmap.width_px == min_side
+        assert (sc.heightmap.values > 0).any()
+
+    @pytest.mark.parametrize("preset", [preset_edge_tx, preset_urban_canyon, preset_sparse, preset_serpentine])
+    def test_negative_seed_is_named(self, preset):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+            preset(seed=-3)
 
     def test_serpentine_side_validation(self):
         with pytest.raises(ValueError):
