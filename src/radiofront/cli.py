@@ -319,11 +319,18 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
     atomic_write(out_dir / "scene.txt", text + "\n")
 
 
+def _check_at_least(flag: str, value: int, lo: int) -> None:
+    if value < lo:
+        raise ValidationError(f"{flag} must be >= {lo}, got {value}")
+
+
 def cmd_synth(args) -> int:
+    _check_at_least("--count", args.count, 1)
+    _check_at_least("--jobs", args.jobs, 1)
     base = Path(args.out_dir)
     jobs = [(args.seed + k, base / f"scene_{k:03d}" if args.count > 1 else base)
             for k in range(args.count)]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         list(pool.map(lambda sj: _synth_one(args, *sj), jobs))
     print(f"synth: wrote {len(jobs)} scene(s) under {base}")
     return 0
@@ -382,6 +389,7 @@ def _suite_rope(rng) -> None:
 
 
 def cmd_selftest(args) -> int:
+    _check_at_least("--seed", args.seed, 0)  # numpy seeds from non-negative integers only
     suites = {
         "ordering": _suite_ordering,
         "entropy": _suite_entropy,

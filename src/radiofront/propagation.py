@@ -116,6 +116,13 @@ def _blockage(
     (see _chunks).  Each sample keeps t = (k + 0.5) / K of its whole ray, and
     blocked samples are counted as integers, so beta does not depend on the
     chunking.
+
+    When every member is level at one shared z (bz == a[:, 2] == z), dz is
+    0.0, so each sample's t * dz + oz is exactly z and the sample is blocked
+    exactly when its roof is above z.  Such a call gathers a bool map of the
+    roofs above z instead of the roofs themselves, and a group counts once
+    for all its members; the result is bit-identical to the float path that
+    every other call takes.
     """
     n_s, n_p = bz.shape
     h_px, w_px = heights.shape
@@ -145,21 +152,28 @@ def _blockage(
     group_size = max(((e - g) * width for g, e, width in chunks), default=0)
     member_size = max(((bounds[e] - bounds[g]) * width for g, e, width in chunks), default=0)
     shared_size = member_size if len(group_k) < len(order) else 0
-    t_buf, pos_buf, roof_buf = (np.empty(group_size) for _ in range(3))
+    level = n_p > 0 and bool(np.all(a[:, 2] == a[0, 2])) and bool(np.all(bz == a[0, 2]))
+    t_buf, pos_buf = (np.empty(group_size) for _ in range(2))
     cols_buf, cells_buf = (np.empty(group_size, dtype=np.int64) for _ in range(2))
-    z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
-    below_buf = np.empty(member_size, dtype=bool)
+    if level:
+        occupied = flat_heights > a[0, 2]
+        hit_buf = np.empty(group_size, dtype=bool)
+    else:
+        z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
+        below_buf = np.empty(member_size, dtype=bool)
     beta = np.empty((n_s, n_p), dtype=np.float64)
     for g, e, width in chunks:
         k = group_k[g:e]
         r = group_ray[g:e]
         member_ray, member_slice = np.divmod(order[bounds[g] : bounds[e]], n_s)
         member_group = np.repeat(np.arange(e - g), np.diff(bounds[g : e + 1]))
-        oz = a[member_ray, 2, np.newaxis]
-        dz = bz[member_slice, member_ray][:, np.newaxis] - oz
+        if not level:
+            oz = a[member_ray, 2, np.newaxis]
+            dz = bz[member_slice, member_ray][:, np.newaxis] - oz
         distinct_k, row_k = np.unique(k, return_inverse=True)
         k_max = int(k[-1])
-        blocked = np.zeros(len(member_ray), dtype=np.int64)
+        # a level group counts once for all its members, which share its z
+        blocked = np.zeros(len(k) if level else len(member_ray), dtype=np.int64)
         for k0 in range(0, k_max, width):
             steps = np.arange(k0, min(k0 + width, k_max), dtype=np.float64)
             shape = (len(k), len(steps))
@@ -179,12 +193,18 @@ def _blockage(
             np.clip(cells, 0, h_px - 1, out=cells)
             cells *= w_px
             cells += cols
-            roof = flat_heights.take(cells, out=_rows(roof_buf, shape), mode="clip")
             # samples past a group's own K are padding, found in the leading
-            # rows since K ascends; an infinitely low roof never blocks them
+            # rows since K ascends; they count as clear
             short = np.searchsorted(k, k0 + len(steps))
             lo = max(int(k[0]) - k0, 0)
-            np.copyto(roof[:short, lo:], -np.inf, where=steps[lo:] >= k[:short, np.newaxis])
+            padding = steps[lo:] >= k[:short, np.newaxis]
+            if level:
+                hit = occupied.take(cells, out=_rows(hit_buf, shape), mode="clip")
+                np.copyto(hit[:short, lo:], False, where=padding)
+                blocked += np.count_nonzero(hit, axis=1)
+                continue
+            roof = flat_heights.take(cells, out=pos, mode="clip")  # pos is spent
+            np.copyto(roof[:short, lo:], -np.inf, where=padding)  # an infinitely low roof
             if len(member_group) > len(k):  # some group serves several slices: a row per member
                 shape = (len(member_group), len(steps))
                 t = t.take(member_group, axis=0, out=_rows(z_buf, shape), mode="clip")
@@ -192,6 +212,8 @@ def _blockage(
             t *= dz
             t += oz
             blocked += np.count_nonzero(np.less(t, roof, out=_rows(below_buf, shape)), axis=1)
+        if level:
+            blocked = blocked[member_group]
         beta[member_slice, member_ray] = blocked / k[member_group]
     return beta
 
@@ -204,12 +226,17 @@ def blockage_ratio_batch(
 ) -> np.ndarray:
     """Blocked fraction of each direct segment a[i] -> b[i].
 
-    a, b: (P, 3) endpoint arrays in meters.  K_i = max(2, ceil(len_i / res))
-    midpoint samples are placed uniformly along each segment; a sample is
-    blocked when its interpolated z lies below the building height at its
+    a, b: (P, 3) arrays of finite endpoints in meters; any other shape, or
+    a NaN or infinite coordinate, is a ValueError.  K_i = max(2, ceil(len_i /
+    res)) midpoint samples are placed uniformly along each segment; a sample
+    is blocked when its interpolated z lies below the building height at its
     ground-plane pixel.  Rays are sorted by K and sampled in chunks of at
     most SAMPLE_BUDGET samples (a longer ray in segments), and the blocked
     samples are counted exactly, so beta does not depend on the chunking.
+    When every ray is level at one shared height z, as the ordering's rays
+    between 1.5 m patch centres are, a sample's interpolated z is exactly z,
+    so the kernel counts the samples that land on a roof above z instead of
+    comparing heights; the ratio is the same bit for bit.
     The anchor maps share one kernel with this function and sample each
     ray's x/y once for all height slices with the same K.  Swapping a and b
     visits the same positions, but a sample exactly on a pixel edge may round
@@ -218,6 +245,10 @@ def blockage_ratio_batch(
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape:
+        raise ValueError(f"ray endpoints a and b must both be (P, 3), got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("ray endpoints must be finite")
     return _blockage(heights, resolution, a, b[:, 0], b[:, 1], b[np.newaxis, :, 2])[0]
 
 

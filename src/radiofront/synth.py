@@ -224,8 +224,10 @@ def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1
 
 def preset_sparse(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """A handful of small isolated obstacles."""
-    # its four footprints, up to max(3, side_px // 10) px a side, fit two by two
-    _check_preset("sparse", seed, side_px, 6)
+    # its four footprints, up to max(3, side_px // 10) px a side, fit two by
+    # two from side 6, but random placement still fails for 7 of seeds 0-999
+    # there; from side 7 none of them does
+    _check_preset("sparse", seed, side_px, 7)
     params = CityParams(
         side_px=side_px,
         resolution=resolution,

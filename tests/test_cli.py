@@ -541,7 +541,11 @@ class TestReaderErrors:
             (["--preset", "edge", "--seed=-1"], "seed must be >= 0, got -1"),
             (["--preset", "edge", "--side-px", "1"], "preset 'edge' needs side_px >= 10, got 1"),
             (["--preset", "canyon", "--side-px", "6"], "preset 'canyon' needs side_px >= 16, got 6"),
-            (["--preset", "sparse", "--side-px", "2"], "preset 'sparse' needs side_px >= 6, got 2"),
+            (["--preset", "sparse", "--side-px", "2"], "preset 'sparse' needs side_px >= 7, got 2"),
+            (["--count", "0"], "--count must be >= 1, got 0"),
+            (["--count", "-3"], "--count must be >= 1, got -3"),
+            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["--jobs", "-2"], "--jobs must be >= 1, got -2"),
         ],
     )
     def test_synth_names_the_bad_value(self, tmp_path, capsys, flags, needle):
@@ -633,6 +637,12 @@ class TestSelftestCommand:
         monkeypatch.setattr(radiofront.cli, "bruteforce_costs", off_by_one(field))
         assert main(["selftest"]) == 1
         assert "FAIL ordering: wavefront and bellman-ford" in capsys.readouterr().out
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["selftest", "--seed=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_injected_fault(self, capsys, monkeypatch):
         def broken(rng):

@@ -94,6 +94,19 @@ def anchor_slice_reference(scene, z):
     return loss + beta.reshape(loss.shape) * (fspl(tx.d0, tx.f) - link_threshold(tx).l_thr)
 
 
+def assert_level_call_matches_the_reference(heights, res, a, b, n_s, budget):
+    """blockage_ratio_batch and an n_s-slice call with every slice at the rays' z equal the reference."""
+    bz = np.broadcast_to(b[:, 2], (n_s, len(b)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "SAMPLE_BUDGET", budget)
+        single = blockage_ratio_batch(heights, res, a, b)
+        sliced = propagation._blockage(heights, res, a, b[:, 0], b[:, 1], bz)
+    reference = blockage_ratio_reference(heights, res, a, b)
+    assert np.array_equal(single, reference)
+    for s in range(n_s):
+        assert np.array_equal(sliced[s], reference)
+
+
 def random_city(seed, side_px):
     params = CityParams(side_px, n_buildings=8, footprint_range=(4, side_px // 4), seed=seed)
     return gen_scene(params)
@@ -221,6 +234,29 @@ class TestBlockageRatio:
         assert beta.shape == (n,)
         assert np.all((beta >= 0.0) & (beta <= 1.0))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[0.5, 0.5, 1.5]], [[1.5, 0.5, 1.5], [2.5, 0.5, 1.5]]),
+            ([[0.5, 0.5]], [[1.5, 0.5]]),
+            ([[0.5, 0.5, 1.5, 0.0]], [[1.5, 0.5, 1.5, 0.0]]),
+            (np.zeros((1, 1, 3)), np.zeros((1, 1, 3))),
+        ],
+        ids=["one-origin-two-targets", "two-coordinates", "four-coordinates", "three-dimensional"],
+    )
+    def test_malformed_endpoint_arrays_are_named(self, a, b):
+        with pytest.raises(ValueError, match=re.escape("ray endpoints a and b must both be (P, 3)")):
+            blockage_ratio_batch(np.zeros((4, 4)), 1.0, a, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoints_are_named(self, bad):
+        hm = HeightMap(np.zeros((4, 4)), 1.0)
+        for a, b in (((0.5, 0.5, bad), (2.5, 0.5, 1.5)), ((0.5, 0.5, 1.5), (2.5, bad, 1.5))):
+            with pytest.raises(ValueError, match="ray endpoints must be finite"):
+                blockage_ratio_batch(hm.values, 1.0, [a], [b])
+        with pytest.raises(ValueError, match="ray endpoints must be finite"):
+            blockage_ratio(hm, (0.5, 0.5, bad), (2.5, 0.5, 1.5))
+
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
         with pytest.raises(ValueError, match="extent"):
@@ -319,6 +355,52 @@ class TestBlockageReference:
             assert np.array_equal(sliced[s], blockage_ratio_reference(heights, res, a, target))
 
 
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_level_calls_give_the_reference_beta(self, data):
+        # every endpoint at one shared z: the kernel counts the roofs above z,
+        # and a roof exactly at z must stay clear as in the reference
+        budget = data.draw(st.integers(1, 12))
+        n_s, h_px, w_px, n = (data.draw(st.integers(1, 5)) for _ in range(4))
+        res = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        z = data.draw(st.sampled_from([0.0, 1.5]) | st.floats(0, 50))
+        roofs = st.sampled_from([0.0, z, z + 1.0]) | st.floats(0, 40)
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=roofs))
+        inside = st.tuples(st.floats(0, w_px * res, exclude_max=True), st.floats(0, h_px * res, exclude_max=True))
+        a, b = (np.array(data.draw(st.lists(inside, min_size=n, max_size=n))) for _ in range(2))
+        a, b = (np.column_stack([p, np.full(n, z)]) for p in (a, b))
+        assert_level_call_matches_the_reference(heights, res, a, b, n_s, budget)
+
+    @pytest.mark.parametrize("n_s, z", [(3, 1.5), (4, 7.25), (1, 0.0), (2, 0.0)])
+    def test_level_call_edge_cases(self, n_s, z):
+        # roofs at 0, exactly at z and above z, under several slices and at ground level
+        heights = np.array([[0.0, z, z + 2.0, 0.0], [z, 0.0, z, z + 0.5], [z + 9.0, z, 0.0, z]])
+        a = np.array([[0.5, 0.5, z], [3.5, 2.5, z], [0.25, 2.75, z], [1.5, 1.5, z]])
+        b = np.array([[3.5, 2.5, z], [0.5, 0.5, z], [3.75, 0.25, z], [1.5, 1.5, z]])
+        for budget in (1, 5, propagation.SAMPLE_BUDGET):
+            assert_level_call_matches_the_reference(heights, 0.5, a, b, n_s, budget)
+
+    @pytest.mark.parametrize(
+        "a_z, b_z",
+        [([1.5, 1.5], [1.5, 30.0]), ([1.5, 30.0], [1.5, 1.5]), ([1.5, 12.0], [1.5, 12.0])],
+        ids=["one-ray-climbs", "one-ray-descends", "two-level-heights"],
+    )
+    def test_mixed_calls_take_the_float_path(self, a_z, b_z):
+        # a level ray at 1.5 m beside a sloped one, or beside a level ray at
+        # another height: counting the roofs above 1.5 m would block the
+        # second ray's samples that pass over the 10 m wall
+        heights = np.zeros((4, 40))
+        heights[:, 15:25] = 10.0
+        a = np.array([[0.0, 1.5, a_z[0]], [0.0, 2.5, a_z[1]]])
+        b = np.array([[40.0, 1.5, b_z[0]], [40.0, 2.5, b_z[1]]])
+        beta = blockage_ratio_batch(heights, 1.0, a, b)
+        assert np.array_equal(beta, blockage_ratio_reference(heights, 1.0, a, b))
+        assert beta[0] == 0.25 and beta[1] < 0.25
+
+
 class TestBlockageMemory:
     """Peak traced memory follows SAMPLE_BUDGET, not the longest ray or the slice count."""
 
@@ -332,6 +414,18 @@ class TestBlockageMemory:
         assert _sample_counts(np.array([29.5]), 1e-5)[0] > 10 * propagation.SAMPLE_BUDGET
         peak = traced_peak(lambda: blockage_ratio_batch(heights, 1e-5, a, b))
         assert peak <= 12 * propagation.SAMPLE_BUDGET * 8
+
+    def test_level_fan_costs_at_most_its_occupancy_map(self):
+        # the 256^2 fan at the transmitter's height counts a bool map of the
+        # roofs above it; the same fan 1 m lower compares float heights
+        scene = gen_scene(CityParams(side_px=256, seed=1))
+        h = scene.heightmap
+        level = fan_rays(scene, scene.tx.z)
+        sloped = fan_rays(scene, scene.tx.z - 1.0)
+        level_peak = traced_peak(lambda: blockage_ratio_batch(h.values, h.resolution, *level))
+        sloped_peak = traced_peak(lambda: blockage_ratio_batch(h.values, h.resolution, *sloped))
+        assert level_peak <= 12 * propagation.SAMPLE_BUDGET * 8
+        assert level_peak <= sloped_peak + h.values.size
 
     def test_volume_peak_is_one_map_plus_its_output(self):
         base = gen_scene(CityParams(side_px=256, seed=1))

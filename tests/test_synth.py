@@ -280,7 +280,7 @@ class TestPresets:
 
     @pytest.mark.parametrize(
         "name, preset, min_side",
-        [("edge", preset_edge_tx, 10), ("canyon", preset_urban_canyon, 16), ("sparse", preset_sparse, 6),
+        [("edge", preset_edge_tx, 10), ("canyon", preset_urban_canyon, 16), ("sparse", preset_sparse, 7),
          ("serpentine", preset_serpentine, 12)],
     )
     def test_too_small_side_names_the_preset(self, name, preset, min_side):
@@ -290,6 +290,11 @@ class TestPresets:
         sc = preset(seed=0, side_px=min_side)
         assert sc.heightmap.width_px == min_side
         assert (sc.heightmap.values > 0).any()
+
+    def test_sparse_places_every_seed_at_its_minimum_side(self):
+        for seed in range(300):
+            sc = preset_sparse(seed=seed, side_px=7)
+            assert (sc.heightmap.values > 0).any()
 
     @pytest.mark.parametrize("preset", [preset_edge_tx, preset_urban_canyon, preset_sparse, preset_serpentine])
     def test_negative_seed_is_named(self, preset):
