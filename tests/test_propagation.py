@@ -257,6 +257,22 @@ class TestBlockageRatio:
         with pytest.raises(ValueError, match="ray endpoints must be finite"):
             blockage_ratio(hm, (0.5, 0.5, bad), (2.5, 0.5, 1.5))
 
+    @pytest.mark.parametrize("resolution", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_bad_resolution_is_named(self, resolution):
+        # -1.0 used to clear a ray through a 10 m wall, and NaN warned three times
+        heights = np.zeros((4, 4))
+        heights[:, 2] = 10.0
+        message = re.escape(f"resolution must be finite and > 0, got {resolution!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                blockage_ratio_batch(heights, resolution, [[0.5, 0.5, 1.0]], [[3.5, 0.5, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(), (16,), (2, 2, 4)], ids=["scalar", "1-D", "3-D"])
+    def test_heights_must_be_a_2d_map(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"heights must be a 2-D map, got shape {shape}")):
+            blockage_ratio_batch(np.zeros(shape), 1.0, [[0.5, 0.5, 1.0]], [[1.5, 0.5, 1.0]])
+
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
         with pytest.raises(ValueError, match="extent"):
@@ -399,6 +415,108 @@ class TestBlockageReference:
         beta = blockage_ratio_batch(heights, 1.0, a, b)
         assert np.array_equal(beta, blockage_ratio_reference(heights, 1.0, a, b))
         assert beta[0] == 0.25 and beta[1] < 0.25
+
+
+class TestRunDecisions:
+    """Runs that the summed-area tables decide keep the reference kernel's beta bit for bit."""
+
+    @settings(
+        max_examples=250, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_any_run_length_gives_the_reference_beta(self, data):
+        budget = data.draw(st.integers(1, 12), label="budget")
+        run_length = data.draw(st.integers(1, 2 * propagation.RUN_LENGTH), label="run_length")
+        # up to 8 rays over at most 3 x 8 pixels: most calls have as many samples as
+        # pixels, so they decide runs
+        n_s = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 8))
+        h_px = data.draw(st.integers(1, 3))
+        w_px = data.draw(st.integers(1, 8))
+        res = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        z = data.draw(st.sampled_from([0.0, 1.5]) | st.floats(0, 30))
+        near_z = st.sampled_from([z, np.nextafter(z, -np.inf), np.nextafter(z, np.inf)])
+        ground = data.draw(st.sampled_from(["open", "roofs", "mixed"]))
+        roofs = {
+            "open": st.just(0.0),
+            "roofs": near_z | st.sampled_from([z + 4.0, 40.0]),
+            "mixed": near_z | st.sampled_from([0.0, z + 4.0]) | st.floats(0, 40),
+        }[ground]
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=roofs))
+        spot = st.tuples(
+            st.floats(0, w_px * res, exclude_max=True),
+            st.floats(0, h_px * res, exclude_max=True),
+            near_z | st.sampled_from([0.0, z + 0.5]) | st.floats(0, 50),
+        )
+        a, b = (np.array(data.draw(st.lists(spot, min_size=n, max_size=n))) for _ in range(2))
+        flat = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        b[flat, 2] = a[flat, 2]
+        slices = [b[:, 2]]
+        for _ in range(n_s - 1):
+            other = np.array([p[2] for p in data.draw(st.lists(spot, min_size=n, max_size=n))])
+            slices.append(np.where(flat, a[:, 2], other) if data.draw(st.booleans()) else other)
+        bz = np.array(slices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "SAMPLE_BUDGET", budget)
+            mp.setattr(propagation, "RUN_LENGTH", run_length)
+            single = blockage_ratio_batch(heights, res, a, b)
+            sliced = propagation._blockage(heights, res, a, b[:, 0], b[:, 1], bz)
+        assert np.array_equal(single, blockage_ratio_reference(heights, res, a, b))
+        for s in range(n_s):
+            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
+            assert np.array_equal(sliced[s], blockage_ratio_reference(heights, res, a, target))
+
+    @pytest.mark.parametrize("sample", ["first", "last"])
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("run_length", [1, 3, 8, 16])
+    def test_roofs_at_the_extreme_sample_heights(self, sample, step, run_length):
+        # a ray climbing from 1 m to 2 m over roofs all at its lowest or highest
+        # sample's z, or one float step off it: a roof exactly at a sample's z
+        # does not block it, so the clear and blocked decisions sit on these
+        # edges; the strip has no more pixels than the ray has samples, so the
+        # kernel decides runs
+        a, b = np.array([[0.5, 0.5, 1.0]]), np.array([[39.5, 0.5, 2.0]])
+        k = int(_sample_counts(np.array([math.sqrt(39.0**2 + 1.0)]), 1.0)[0])
+        t = np.array([0.5 / k, (k - 1 + 0.5) / k])
+        z_first, z_last = t * (b[0, 2] - a[0, 2]) + a[0, 2]
+        z = z_first if sample == "first" else z_last
+        roof = z if step == 0 else np.nextafter(z, step * np.inf)
+        heights = np.full((1, 40), roof)
+        bz = np.array([[2.0], [1.0], [2.0]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "RUN_LENGTH", run_length)
+            beta = blockage_ratio_batch(heights, 1.0, a, b)
+            volume = propagation._blockage(heights, 1.0, a, b[:, 0], b[:, 1], bz)
+        assert np.array_equal(beta, blockage_ratio_reference(heights, 1.0, a, b))
+        for s in range(len(bz)):
+            target = np.array([[b[0, 0], b[0, 1], bz[s, 0]]])
+            assert np.array_equal(volume[s], blockage_ratio_reference(heights, 1.0, a, target))
+
+    @pytest.mark.parametrize("roof", ["lowest-z", "open", "above-highest-z"])
+    def test_decided_runs_are_not_sampled(self, monkeypatch, roof):
+        # roofs exactly at the first sample's z, at 0 or above the last
+        # sample's z decide all 5 runs of the 40 samples, so only the 6 run
+        # edges get a column and a row; sampling would take 40 of each
+        a, b = np.array([[0.5, 0.5, 1.0]]), np.array([[39.5, 0.5, 2.0]])
+        k = int(_sample_counts(np.array([math.sqrt(39.0**2 + 1.0)]), 1.0)[0])
+        heights = np.full((1, 40), {"lowest-z": 0.5 / k + 1.0, "open": 0.0, "above-highest-z": 2.0}[roof])
+        sizes = []
+        pixels = propagation._pixels
+        monkeypatch.setattr(propagation, "RUN_LENGTH", 8)
+        monkeypatch.setattr(propagation, "_pixels", lambda t, *args: sizes.append(t.size) or pixels(t, *args))
+        beta = blockage_ratio_batch(heights, 1.0, a, b)
+        assert k == 40 and beta[0] == (1.0 if roof == "above-highest-z" else 0.0)
+        assert sizes == [6, 6]
+
+    def test_uav_volume(self):
+        # a 30 m transmitter over 3 slices near the ground: the call's z span
+        # covers most roofs, so the tables decide few runs and most are sampled
+        base = random_city(11, side_px=96)
+        scene = Scene(base.heightmap, replace(base.tx, z=30.0), RxConfig(n_z=3))
+        volume = anchor_volume(scene).values
+        for k, z in enumerate(scene.rx.slice_heights()):
+            assert np.array_equal(volume[k], anchor_slice_reference(scene, z))
 
 
 class TestBlockageMemory:
