@@ -264,6 +264,7 @@ def _blockage(
     beta = np.empty((n_s, n_p), dtype=np.float64)
     for g, e, width in chunks:
         k = group_k[g:e]
+        k_float = k.astype(np.float64)  # as the int K would divide, without a mixed-type loop
         r = group_ray[g:e]
         member_ray, member_slice = np.divmod(order[bounds[g] : bounds[e]], n_s)
         group_members = np.diff(bounds[g : e + 1])
@@ -271,7 +272,6 @@ def _blockage(
         if not level:
             oz = a[member_ray, 2]
             dz = bz[member_slice, member_ray] - oz
-        distinct_k, row_k = np.unique(k, return_inverse=True)
         k_max = int(k[-1])
         # a level group counts once for all its members, which share its z
         blocked = np.zeros(len(k) if level else len(member_ray), dtype=np.int64)
@@ -285,9 +285,7 @@ def _blockage(
                 # 1. decide each run from the pixels of its first sample and the next run's
                 edge_shape = (n_runs + 1, len(k))
                 edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
-                t = ((edges[:, np.newaxis] + 0.5) / distinct_k).take(
-                    row_k, axis=1, out=_rows(t_buf, edge_shape), mode="clip"
-                )
+                t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(t_buf, edge_shape))
                 pos = _rows(pos_buf, edge_shape)
                 cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(cols_buf, edge_shape))
                 rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(cells_buf, edge_shape))
@@ -338,7 +336,7 @@ def _blockage(
             steps = np.arange(run, dtype=np.float64)[:, np.newaxis]
             t = np.add(steps, (k0 + run * open_run).astype(np.float64), out=_rows(t_buf, shape))
             t += 0.5
-            t /= k[open_row].astype(np.float64)  # as the int K would divide, without a mixed-type loop
+            t /= k_float[open_row]
             ray_row = r[open_row]
             pos = _rows(pos_buf, shape)
             cols = _pixels(t, a[ray_row, 0], ux[ray_row], resolution, w_px, pos, _rows(cols_buf, shape))
