@@ -261,6 +261,8 @@ def cmd_entropy(args) -> int:
 def cmd_metrics(args) -> int:
     pred = _load_any_grid(args.pred, RadioField)
     gt = _load_any_grid(args.gt, RadioField)
+    if pred.unit != gt.unit:
+        raise ValueError(f"--pred {args.pred} is in {pred.unit} but --gt {args.gt} is in {gt.unit}")
     window = _given(lo=args.norm_lo, hi=args.norm_hi)
     if pred.unit == UNIT_DB:
         pred_db, gt_db = pred, gt

@@ -22,7 +22,7 @@ the predecessor-containment verifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -291,16 +291,7 @@ def wavefront_order(
     """
     params = params or OrderParams()
     costs = _solve(scene, patches, params, _relax_frontier)
-    order = OrderPi(
-        _argsort_by_cost(costs.d),
-        "wavefront",
-        {
-            "alpha_los": params.alpha_los,
-            "alpha_nlos": params.alpha_nlos,
-            "beta_clamp": params.beta_clamp,
-        },
-    )
-    return order, costs
+    return OrderPi(_argsort_by_cost(costs.d), "wavefront", asdict(params)), costs
 
 
 def bruteforce_costs(

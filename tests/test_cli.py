@@ -23,6 +23,7 @@ from radiofront import (
     Scene,
     TxConfig,
     UNIT_DB,
+    UNIT_NORM01,
     anchor_map,
     load_grid,
     load_order,
@@ -271,8 +272,6 @@ class TestMetricsCommand:
 
     def test_normalized_inputs(self, tmp_path):
         rng = np.random.default_rng(8)
-        from radiofront import UNIT_NORM01
-
         gt = rng.uniform(0, 1, size=(1, 16, 16))
         pred = np.clip(gt + rng.normal(0, 0.05, gt.shape), 0, 1)
         p_gt, p_pred = tmp_path / "gt.rgf", tmp_path / "pred.rgf"
@@ -283,6 +282,19 @@ class TestMetricsCommand:
         assert rc == 0
         row = report.read_text().splitlines()[1].split(",")
         assert float(row[1]) > 0  # rmse computed via denormalization
+
+    @pytest.mark.parametrize("pred_unit, gt_unit", [(UNIT_DB, UNIT_NORM01), (UNIT_NORM01, UNIT_DB)])
+    def test_mixed_units_name_both_files(self, tmp_path, capsys, pred_unit, gt_unit):
+        values = {UNIT_DB: np.full((1, 4, 4), -80.0), UNIT_NORM01: np.full((1, 4, 4), 0.5)}
+        p_pred, p_gt = tmp_path / "pred.rgf", tmp_path / "gt.rgf"
+        save_grid(RadioField(values[pred_unit], pred_unit), p_pred)
+        save_grid(RadioField(values[gt_unit], gt_unit), p_gt)
+        report = tmp_path / "r.csv"
+        rc = main(["metrics", "--pred", str(p_pred), "--gt", str(p_gt), "--report", str(report)])
+        assert rc == 1
+        message = f"error: --pred {p_pred} is in {pred_unit} but --gt {p_gt} is in {gt_unit}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not report.exists()
 
     def test_identical_fields(self, tmp_path):
         g = np.random.default_rng(6).uniform(-140, -60, size=(2, 16, 16))
