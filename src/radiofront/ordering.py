@@ -14,6 +14,10 @@ tight neighbour s (d[s] + w(s, i) == d[i]) that comes first in (cost, index)
 order, i.e. the smallest (d[s], s); every other patch keeps its direct-path
 predecessor, the source.
 
+The patch graph (edges, their lengths and blockage, the per-source rows) does
+not depend on the transmitter, so it is built once per live height map and
+patch grid and held; see edge_weights.
+
 Also provided: the geometric scan orders (raster, hilbert, z-curve,
 subsample, serpentine), pathloss-ranked orders, a Bellman-Ford oracle, and
 the predecessor-containment verifier.
@@ -22,12 +26,15 @@ the predecessor-containment verifier.
 from __future__ import annotations
 
 import json
+import math
+import threading
+import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .grids import RadioField, Scene, ValidationError, atomic_write, write_table
+from .grids import HeightMap, RadioField, Scene, ValidationError, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -66,6 +73,12 @@ class PatchGrid:
     def __post_init__(self):
         if self.patch_px < 1 or self.n_side < 1:
             raise ValidationError("patch_px and n_side must be >= 1")
+        if not 0 < self.resolution < math.inf:
+            raise ValidationError(
+                f"patch grid resolution must be finite and > 0, got {self.resolution!r}"
+            )
+        if not math.isfinite(self.z):
+            raise ValidationError(f"patch grid z must be finite, got {self.z!r}")
 
     @classmethod
     def for_scene(cls, scene: Scene, patch_px: int = 16) -> "PatchGrid":
@@ -192,17 +205,109 @@ def _edge_list(n_side: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def _blocked_lengths(scene: Scene, a, b, alpha: float, clamp: float) -> np.ndarray:
-    """Length of each segment a[i] -> b[i] divided by max(1 - beta, clamp)^alpha."""
+def _check_fits(scene: Scene, patches: PatchGrid) -> None:
+    """Refuse a patch grid that does not tile the scene's map at its resolution."""
     h = scene.heightmap
-    beta = blockage_ratio_batch(h.values, h.resolution, a, b)
+    side = patches.patch_px * patches.n_side
+    if h.height_px != side or h.width_px != side:
+        raise ValidationError(
+            f"patch grid of {patches.n_side} x {patches.n_side} patches of {patches.patch_px} px "
+            f"covers {side} x {side} px, but the map is {h.height_px} x {h.width_px} px"
+        )
+    if patches.resolution != h.resolution:
+        raise ValidationError(
+            f"patch grid resolution {patches.resolution!r} differs from the map's {h.resolution!r}"
+        )
+
+
+def _segments(h: HeightMap, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Length and blockage ratio of each segment a[i] -> b[i] over the map."""
+    return np.linalg.norm(b - a, axis=1), blockage_ratio_batch(h.values, h.resolution, a, b)
+
+
+def _blocked_cost(length, beta, alpha: float, clamp: float) -> np.ndarray:
+    """Each length divided by max(1 - beta, clamp)^alpha."""
     with np.errstate(divide="ignore", over="ignore"):  # an infinite cost is reported
-        cost = np.linalg.norm(b - a, axis=1) / np.maximum(1.0 - beta, clamp) ** alpha
+        cost = length / np.maximum(1.0 - beta, clamp) ** alpha
     if not np.isfinite(cost).all():
         raise ValidationError(
             f"blockage exponent {alpha!r} with beta_clamp {clamp!r} overflows a segment cost"
         )
     return cost
+
+
+def _group_by_source(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable order grouping directed edges by source, and each patch's (first, degree) in it."""
+    degree = np.bincount(s, minlength=n)
+    return np.argsort(s, kind="stable"), np.cumsum(degree) - degree, degree
+
+
+@dataclass(frozen=True)
+class _PatchGraph:
+    """The transmitter-independent part of the wavefront solve on one map and patch grid.
+
+    Undirected edges src[k] < dst[k] with their center distance and beta, and
+    every edge in both directions grouped by source: directed edge e runs
+    s[e] -> t[e] along undirected edge edge[e], and patch i's out-edges are
+    first[i] .. first[i] + degree[i] - 1.  Every array is read-only.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    length: np.ndarray
+    beta: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    edge: np.ndarray
+    first: np.ndarray
+    degree: np.ndarray
+
+    @classmethod
+    def build(cls, h: HeightMap, patches: PatchGrid) -> "_PatchGraph":
+        centers = patches.centers()
+        src, dst = _edge_list(patches.n_side)
+        length, beta = _segments(h, centers[src], centers[dst])
+        # undirected edge k is directed edges k (src -> dst) and E + k (dst -> src)
+        both = np.concatenate([src, dst])
+        order, first, degree = _group_by_source(both, patches.n_patches)
+        s, t = both[order], np.concatenate([dst, src])[order]
+        arrays = (src, dst, length, beta, s, t, np.tile(np.arange(len(src)), 2)[order], first, degree)
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays)
+
+
+# Patch graphs of the live height maps: id(map) -> {PatchGrid: graph}, least
+# recently used first.  A map's entry is dropped when the map is collected.
+# A graph takes about 340 bytes per patch (about 80 per undirected edge), so a
+# map holds at most _GRAPHS_PER_MAP x 340 x N bytes: 5.5 MB for grids of
+# N = 4096 (a 256^2 map at patch_px 4), 88 MB at N = 65,536 (patch_px 1).
+_GRAPHS_PER_MAP = 4
+_graphs: dict[int, dict[PatchGrid, _PatchGraph]] = {}
+_graphs_lock = threading.Lock()
+
+
+def _patch_graph(h: HeightMap, patches: PatchGrid) -> _PatchGraph:
+    """The held graph of this map object and patch grid, built on first use."""
+    key = id(h)
+    with _graphs_lock:
+        held = _graphs.get(key)
+        if held is None:
+            held = _graphs[key] = {}
+            # the callback is one dict pop, atomic without the lock: a
+            # collection inside a locked block would deadlock on the lock
+            weakref.finalize(h, _graphs.pop, key, None)
+        graph = held.pop(patches, None)
+        if graph is not None:
+            held[patches] = graph
+            return graph
+    # built outside the lock: two callers may each build the same, equal graph
+    graph = _PatchGraph.build(h, patches)
+    with _graphs_lock:
+        held[patches] = graph
+        while len(held) > _GRAPHS_PER_MAP:
+            del held[next(iter(held))]
+    return graph
 
 
 def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = None) -> CostField:
@@ -212,11 +317,13 @@ def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = No
     other patches initially point at it (their best-known route is the
     direct ray from the transmitter).
     """
+    _check_fits(scene, patches)
     params = params or OrderParams()
     centers = patches.centers()
     source = patches.patch_of(scene.tx.x, scene.tx.y)
     origin = np.broadcast_to(scene.tx.position, centers.shape)
-    d = _blocked_lengths(scene, origin, centers, params.alpha_los, params.beta_clamp)
+    length, beta = _segments(scene.heightmap, origin, centers)
+    d = _blocked_cost(length, beta, params.alpha_los, params.beta_clamp)
     d[source] = 0.0
     pred = np.full(patches.n_patches, source, dtype=np.int64)
     pred[source] = NO_PRED
@@ -226,25 +333,40 @@ def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = No
 def edge_weights(
     scene: Scene, patches: PatchGrid, params: OrderParams | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8-connected hop weights: center distance / (1 - beta)^alpha_nlos."""
+    """8-connected hop weights: center distance / max(1 - beta, beta_clamp)^alpha_nlos.
+
+    Returns read-only (src, dst, w) over the undirected edges src < dst.  The
+    edges, their lengths and beta depend only on the map and the patch grid,
+    so they are computed once per live HeightMap object and patch grid and
+    held; every call recomputes w from them with the same expression, so any
+    OrderParams reads the same held graph.
+    """
+    _check_fits(scene, patches)
     params = params or OrderParams()
-    centers = patches.centers()
-    src, dst = _edge_list(patches.n_side)
-    return src, dst, _blocked_lengths(
-        scene, centers[src], centers[dst], params.alpha_nlos, params.beta_clamp
-    )
+    graph = _patch_graph(scene.heightmap, patches)
+    w = _blocked_cost(graph.length, graph.beta, params.alpha_nlos, params.beta_clamp)
+    w.setflags(write=False)
+    return graph.src, graph.dst, w
 
 
-def _relax_frontier(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Bellman-Ford rounds over the edges whose source's cost fell last round;
-    # every other edge would offer the same candidate as before
+def _relax_frontier(d0, s, t, w, first, degree) -> np.ndarray:
+    """Bellman-Ford rounds over the out-edges of the patches whose cost fell last round.
+
+    Every other edge would offer the same candidate as before.  The edges
+    come grouped by source, as the patch graph holds them: patch i's are
+    first[i] .. first[i] + degree[i] - 1.  np.minimum.at takes the same
+    minimum in any edge order, so the order within a group does not change d.
+    """
     d = d0.copy()
-    changed = np.ones(len(d), dtype=bool)
-    while changed.any():
-        e = np.flatnonzero(changed[s])
+    frontier = np.arange(len(d))
+    while frontier.size:
+        deg = degree[frontier]
+        end = np.cumsum(deg)
+        # the out-edges first[i] + 0 .. degree[i] - 1 of every frontier patch i
+        e = np.arange(end[-1]) + np.repeat(first[frontier] - (end - deg), deg)
         prev = d.copy()
         np.minimum.at(d, t[e], d[s[e]] + w[e])
-        changed = d < prev
+        frontier = np.flatnonzero(d < prev)
     return d
 
 
@@ -269,12 +391,17 @@ def _tight_predecessors(d, initial: CostField, s, t, w) -> np.ndarray:
     return pred
 
 
-def _solve(scene: Scene, patches: PatchGrid, params: OrderParams, relax) -> CostField:
+def _solve(scene: Scene, patches: PatchGrid, params: OrderParams, relax=None) -> CostField:
+    """Relaxed costs over the held patch graph: by the frontier over its rows,
+    or by relax(d0, s, t, w) over its directed edges when one is given."""
     initial = init_costs(scene, patches, params)
-    src, dst, w = edge_weights(scene, patches, params)
-    # every undirected edge in both directions: sources s, targets t
-    s, t, w = np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([w, w])
-    d = relax(initial.d, s, t, w)
+    _, _, w = edge_weights(scene, patches, params)
+    graph = _patch_graph(scene.heightmap, patches)
+    s, t, w = graph.s, graph.t, w[graph.edge]
+    if relax is None:
+        d = _relax_frontier(initial.d, s, t, w, graph.first, graph.degree)
+    else:
+        d = relax(initial.d, s, t, w)
     d, pred = _snap_to_direct(d, _tight_predecessors(d, initial, s, t, w), initial)
     return CostField(d, pred, initial.source)
 
@@ -285,12 +412,16 @@ def wavefront_order(
     """Blockage-aware shortest-cost order expanding outward from the transmitter.
 
     Relaxes the direct-path costs over the 8-connected patch graph in whole
-    array rounds until no cost falls, then returns the patches sorted by
+    array rounds, each over the out-edges of the patches whose cost fell in
+    the round before, until no cost falls.  Returns the patches sorted by
     ascending final cost (ties by ascending index) together with the cost
-    field and its predecessor pointers.
+    field and its predecessor pointers.  The patch graph and its edge
+    blockage are held per live map object and patch grid (see edge_weights),
+    so another transmitter on the same map (Scene.with_tx) casts only the
+    direct-path rays.  The grid must tile the map at its resolution.
     """
     params = params or OrderParams()
-    costs = _solve(scene, patches, params, _relax_frontier)
+    costs = _solve(scene, patches, params)
     return OrderPi(_argsort_by_cost(costs.d), "wavefront", asdict(params)), costs
 
 
@@ -404,6 +535,7 @@ def true_pl_order(fld: RadioField, patches: PatchGrid | int) -> OrderPi:
 
 def euclidean_order(scene: Scene, patches: PatchGrid) -> OrderPi:
     """Plain ascending-distance sort of patch centers from the transmitter."""
+    _check_fits(scene, patches)
     dist = np.linalg.norm(patches.centers() - scene.tx.position, axis=1)
     return OrderPi(_argsort_by_cost(dist), "custom")
 

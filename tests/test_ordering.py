@@ -1,12 +1,17 @@
 """Wavefront relaxation, geometric orders, PL ranking, containment checks."""
 
+import gc
 import heapq
 import itertools
+import pickle
 import re
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from radiofront import (
     CityParams,
@@ -35,8 +40,19 @@ from radiofront import (
     wavefront_order,
     zcurve_order,
 )
-from radiofront.grids import RadioField, UNIT_DB, ValidationError
-from radiofront.ordering import NO_PRED, _solve, edge_weights, save_costs_csv
+from radiofront import ordering
+from radiofront.grids import RadioField, RxConfig, UNIT_DB, ValidationError
+from radiofront.ordering import (
+    NO_PRED,
+    _group_by_source,
+    _patch_graph,
+    _relax_bellman_ford,
+    _relax_frontier,
+    _solve,
+    _tight_predecessors,
+    edge_weights,
+    save_costs_csv,
+)
 from radiofront.synth import PRESETS
 
 
@@ -223,6 +239,211 @@ class TestBadParameters:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="overflows a segment cost"):
                 wavefront_order(sc, PatchGrid.for_scene(sc, patch_px=8), params)
+
+
+class TestPatchGridFit:
+    """A patch grid that does not tile its scene's map is refused, not clipped."""
+
+    SOLVERS = [init_costs, edge_weights, wavefront_order, bruteforce_costs, euclidean_order]
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize(
+        "patches, needle",
+        [
+            (PatchGrid(4, 40, 1.0, 1.5), "covers 160 x 160 px, but the map is 64 x 64 px"),
+            (PatchGrid(8, 7, 1.0, 1.5), "covers 56 x 56 px, but the map is 64 x 64 px"),
+            (PatchGrid(8, 8, 3.0, 1.5), "patch grid resolution 3.0 differs from the map's 1.0"),
+        ],
+    )
+    def test_grid_off_the_map_is_refused(self, solve, patches, needle):
+        sc = flat_scene(side_px=64, tx=(4.0, 12.0))
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            solve(sc, patches)
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_non_square_map_is_refused(self, solve):
+        sc = Scene(HeightMap(np.zeros((32, 64)), 1.0), TxConfig(4.0, 12.0))
+        with pytest.raises(ValidationError, match=re.escape("the map is 32 x 64 px")):
+            solve(sc, PatchGrid(8, 8, 1.0, 1.5))
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_resolution_is_named(self, resolution):
+        with pytest.raises(ValidationError, match="patch grid resolution must be finite and > 0"):
+            PatchGrid(8, 8, resolution, 1.5)
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_z_is_named(self, z):
+        with pytest.raises(ValidationError, match="patch grid z must be finite"):
+            PatchGrid(8, 8, 1.0, z)
+
+    def test_fitting_grid_is_accepted(self):
+        sc = flat_scene(side_px=64, tx=(4.0, 12.0))
+        order, _ = wavefront_order(sc, PatchGrid(8, 8, 1.0, 1.5))
+        assert len(order) == 64
+
+
+def count_edge_casts(monkeypatch):
+    """Ray counts of every blockage call the ordering module makes."""
+    rays = []
+    cast = ordering.blockage_ratio_batch
+
+    def counted(heights, resolution, a, b):
+        rays.append(len(a))
+        return cast(heights, resolution, a, b)
+
+    monkeypatch.setattr(ordering, "blockage_ratio_batch", counted)
+    return rays
+
+
+def fresh_copy(scene):
+    """The same scene on an equal but distinct height map, which holds no patch graph."""
+    h = scene.heightmap
+    return Scene(HeightMap(h.values, h.resolution), scene.tx, scene.rx)
+
+
+def eq_outcome(a, b):
+    try:
+        return a == b
+    except Exception as exc:  # the outcome is compared, whatever it is
+        return type(exc), str(exc)
+
+
+class TestPatchGraphCache:
+    def city(self, seed=3, side_px=64, z_rx=1.5):
+        sc = gen_scene(CityParams(side_px=side_px, n_buildings=8, footprint_range=(4, 14), seed=seed))
+        return Scene(sc.heightmap, sc.tx, RxConfig(z_rx=z_rx))
+
+    def test_second_transmitter_casts_only_the_direct_rays(self, monkeypatch):
+        rays = count_edge_casts(monkeypatch)
+        sc = self.city()
+        pg = PatchGrid.for_scene(sc, patch_px=4)
+        n_edges = len(edge_weights(sc, pg)[0])
+        assert rays == [n_edges]
+        wavefront_order(sc, pg)
+        wavefront_order(sc.with_tx(x=40.5, y=9.5), pg)
+        bruteforce_costs(sc.with_tx(x=20.5), pg)
+        assert rays == [n_edges] + [pg.n_patches] * 3
+
+    def test_held_graph_equals_a_fresh_one(self):
+        base = self.city(seed=5)
+        for z_rx, patch_px in itertools.product((1.5, 7.0), (4, 8)):
+            sc = Scene(base.heightmap, TxConfig(30.5, 22.5, 1.5, 5.9e9), RxConfig(z_rx=z_rx))
+            pg = PatchGrid.for_scene(sc, patch_px)
+            wavefront_order(sc, pg)  # the graph is held before the sweep reads it
+            for alpha, clamp in itertools.product((0.0, 1.0, 2.5), (1e-6, 0.3)):
+                params = OrderParams(alpha_nlos=alpha, beta_clamp=clamp)
+                cold = fresh_copy(sc)
+                for held, fresh in zip(edge_weights(sc, pg, params), edge_weights(cold, pg, params)):
+                    assert np.array_equal(held, fresh)
+                (o1, c1), (o2, c2) = wavefront_order(sc, pg, params), wavefront_order(cold, pg, params)
+                assert np.array_equal(o1.perm, o2.perm)
+                assert np.array_equal(c1.d, c2.d)
+                assert np.array_equal(c1.pred, c2.pred)
+                b1, b2 = bruteforce_costs(sc, pg, params), bruteforce_costs(cold, pg, params)
+                assert np.array_equal(b1.d, b2.d) and np.array_equal(b1.pred, b2.pred)
+        # every sweep read the graphs held for the base map: one per patch grid
+        assert len(ordering._graphs[id(base.heightmap)]) == 4
+
+    def test_returned_weights_are_read_only(self):
+        sc = self.city()
+        for a in edge_weights(sc, PatchGrid.for_scene(sc, 8)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_held_graphs_stay_at_the_cap(self):
+        sc = self.city(side_px=64)
+        grids = [PatchGrid.for_scene(sc, p) for p in (1, 2, 4, 8, 16, 32)]
+        for pg in grids:
+            wavefront_order(sc, pg)
+            assert len(ordering._graphs[id(sc.heightmap)]) <= ordering._GRAPHS_PER_MAP
+        held = ordering._graphs[id(sc.heightmap)]
+        assert list(held) == grids[-ordering._GRAPHS_PER_MAP:]
+        # a hit makes its grid the last one evicted
+        wavefront_order(sc, grids[-4])
+        wavefront_order(sc, grids[0])
+        assert list(held) == [grids[-2], grids[-1], grids[-4], grids[0]]
+
+    def test_graphs_are_dropped_with_their_map(self):
+        sc = self.city()
+        wavefront_order(sc, PatchGrid.for_scene(sc, 8))
+        key, hm = id(sc.heightmap), weakref.ref(sc.heightmap)
+        gc.collect()
+        assert key in ordering._graphs
+        del sc
+        gc.collect()
+        assert hm() is None
+        assert key not in ordering._graphs
+
+    def test_two_threads_on_one_map_agree(self):
+        sc = self.city(seed=7)
+        tasks = [(x, px) for x in (5.5, 20.5, 33.5, 50.5, 61.5) for px in (4, 8)] * 2
+        cold = fresh_copy(sc)
+
+        def solve(task, scene):
+            x, px = task
+            s = scene.with_tx(x=x)
+            order, costs = wavefront_order(s, PatchGrid.for_scene(s, px))
+            return order.perm, costs.d, costs.pred
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda task: solve(task, sc), tasks))
+        for task, result in zip(tasks, got):
+            for a, b in zip(result, solve(task, cold)):
+                assert np.array_equal(a, b)
+
+    def test_map_equality_repr_and_pickle_are_unchanged(self):
+        sc = self.city()
+        hm = sc.heightmap
+        twin = HeightMap(hm.values, hm.resolution)
+        before = pickle.dumps(hm), repr(hm), eq_outcome(hm, twin), eq_outcome(hm, hm)
+        wavefront_order(sc, PatchGrid.for_scene(sc, 8))
+        assert id(hm) in ordering._graphs
+        assert (pickle.dumps(hm), repr(hm), eq_outcome(hm, twin), eq_outcome(hm, hm)) == before
+        assert np.array_equal(pickle.loads(before[0]).values, hm.values)
+
+
+class TestFrontierRelaxation:
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        city=st.integers(0, 2**16),
+        shuffle=st.integers(0, 2**32 - 1),
+        patch_px=st.sampled_from([2, 4, 8]),
+        alpha=st.sampled_from([0.5, 2.0, 4.0]),
+    )
+    def test_edge_order_does_not_matter(self, city, shuffle, patch_px, alpha):
+        sc = gen_scene(CityParams(side_px=32, n_buildings=5, footprint_range=(3, 10), seed=city))
+        pg = PatchGrid.for_scene(sc, patch_px)
+        params = OrderParams(alpha_nlos=alpha)
+        initial = init_costs(sc, pg, params)
+        graph = _patch_graph(sc.heightmap, pg)
+        s, t, w = graph.s, graph.t, edge_weights(sc, pg, params)[2][graph.edge]
+        d = _relax_frontier(initial.d, s, t, w, graph.first, graph.degree)
+        pred = _tight_predecessors(d, initial, s, t, w)
+        p = np.random.default_rng(shuffle).permutation(len(s))
+        s, t, w = s[p], t[p], w[p]
+        # the frontier needs its edges grouped by source: regroup the shuffled
+        # edges stably, which keeps each group in shuffled order
+        g, first, degree = _group_by_source(s, pg.n_patches)
+        assert np.array_equal(_relax_frontier(initial.d, s[g], t[g], w[g], first, degree), d)
+        assert np.array_equal(_tight_predecessors(d, initial, s, t, w), pred)
+        assert np.array_equal(_relax_bellman_ford(initial.d, s, t, w), d)
+
+    @pytest.mark.parametrize(
+        "name, side_px", [("edge", 256), ("canyon", 256), ("sparse", 256), ("serpentine", 192)]
+    )
+    def test_frontier_bellman_ford_and_heapq_agree_on_presets(self, name, side_px):
+        sc = PRESETS[name](side_px=side_px)
+        pg = PatchGrid.for_scene(sc, side_px // 32)
+        assert pg.n_patches == 1024
+        order, costs = wavefront_order(sc, pg)
+        for oracle in (bruteforce_costs(sc, pg), _solve(sc, pg, OrderParams(), relax_dijkstra)):
+            assert np.array_equal(oracle.d, costs.d)
+            assert np.array_equal(oracle.pred, costs.pred)
+            assert np.array_equal(np.argsort(oracle.d, kind="stable"), order.perm)
+        assert np.any((costs.pred != costs.source) & (costs.pred != NO_PRED))
 
 
 class TestBruteforceOracle:
