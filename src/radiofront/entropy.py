@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError, read_container, write_container
+from .grids import GridFormatError, ValidationError, _fields_equal, read_container, write_container
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
@@ -95,6 +95,8 @@ class LogitTrace:
 
     logits: np.ndarray  # (n_steps, vocab)
     order: OrderPi | None = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)

@@ -24,7 +24,7 @@ import csv
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +62,30 @@ def _check_grid(values: np.ndarray, resolution: float, what: str) -> None:
         raise ValidationError("resolution must be finite and positive")
 
 
+def _fields_equal(self, other) -> bool:
+    """`==` for frozen dataclasses that hold arrays: same type, arrays equal by value, the rest by `==`.
+
+    The generated `__eq__` compares a tuple of the fields, which raises for
+    arrays of more than one element.  Hashing is left as generated, so these
+    objects stay unhashable.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        mine, theirs = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class HeightMap:
     """2D grid of building heights in meters; the source of all blockage."""
 
     values: np.ndarray  # (height_px, width_px), meters
     resolution: float  # meters per pixel
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         # an own copy: a view of the caller's array could change under a held anchor volume
@@ -156,6 +174,8 @@ class RadioField:
     values: np.ndarray
     unit: str
     resolution: float = 1.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

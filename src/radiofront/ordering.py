@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, atomic_write, write_table
+from .grids import HeightMap, RadioField, Scene, ValidationError, _fields_equal, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -144,6 +144,8 @@ class CostField:
     pred: np.ndarray  # (N,) predecessor index, NO_PRED for the source
     source: int
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
         object.__setattr__(self, "pred", np.asarray(self.pred, dtype=np.int64))
@@ -161,6 +163,8 @@ class OrderPi:
     perm: np.ndarray
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)

@@ -19,6 +19,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
 SAMPLE_BUDGET = 1 << 18  # ray samples (member rows x K) held at once by the blockage kernel
 RUN_LENGTH = 8  # consecutive samples of a ray the blockage kernel decides at once
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 # single-channel dB field over the pixel grid at receiver height
 AnchorMap = RadioField
@@ -127,14 +128,45 @@ def _summed_area(mask: np.ndarray) -> np.ndarray:
     return table.ravel()
 
 
-def _pixels(t, origin, u, resolution: float, n: int, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Pixel index on one axis of the samples at t of rays origin + t * u, clipped to [0, n) before the cast."""
+def _pixels(t, origin, u, resolution: float, n: int | None, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pixel index on one axis of the samples at t of rays origin + t * u.
+
+    origin and u are in meters, or already in pixels when resolution is 1.0
+    (a division by 1.0 changes no float, so it is skipped).  Positions are
+    clipped to [0, n) before the cast; n None skips the clip, for samples
+    known to lie in (-1, n), where the cast alone gives the same pixel.  A
+    position past the float range becomes infinite and clips to the edge.
+    """
     np.multiply(t, u, out=pos)
     pos += origin
-    pos /= resolution
-    np.clip(pos, 0, n - 1, out=pos)
+    if resolution != 1.0:
+        with np.errstate(over="ignore"):
+            pos /= resolution
+    if n is not None:
+        np.clip(pos, 0, n - 1, out=pos)
     out[...] = pos
     return out
+
+
+def _in_pixels(rays: np.ndarray, resolution: float, k_max: int) -> tuple[np.ndarray, float]:
+    """A chunk's rays (rows x origin, x step, y origin, y step) in pixels where that is exact, and their unit.
+
+    For res = 2**e, (t * u + o) / res equals t * (u / res) + o / res bit for
+    bit: scaling by a power of two is exact, and rounding commutes with it,
+    as long as no value is infinite or falls below the normal range.  So the
+    rays are scaled once per chunk, and the samples skip the division.
+    Every nonzero |o| and |u|, scaled or not, must be at least
+    2 * k_max * tiny, so that t * u (t >= 0.5 / k_max) stays normal too;
+    otherwise the rays are returned in meters, with the resolution.
+    """
+    if resolution == 1.0 or math.frexp(resolution)[0] != 0.5:
+        return rays, resolution
+    with np.errstate(over="ignore"):  # an infinite scaled value is refused below
+        scaled = rays / resolution
+    least = np.minimum(np.abs(rays), np.abs(scaled))
+    if np.isfinite(scaled).all() and not np.any((least > 0) & (least < 2.0 * k_max * _TINY)):
+        return scaled, 1.0
+    return rays, resolution
 
 
 def _rectangle_counts(table: np.ndarray, corners, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -187,13 +219,40 @@ def _blockage(
     widen each rectangle by the pixels its edge samples touch: one more row
     and column toward the lower index.
 
+    A call is level when no roof r has z_lo < r <= z_hi.  Every sample's z
+    lies in [z_lo, z_hi], so a sample is then blocked exactly when its roof
+    is above z_lo (a NaN roof compares false): the bool map of those roofs
+    is the call's one table, stage 2 gathers from it, and the members of a
+    group, which share its pixels, share its count, so each undecided run is
+    counted once per group.  A call with z_lo == z_hi is level, as the
+    ordering's rays between 1.5 m patch centres are.  Otherwise the test
+    costs a pass over the map, so only a call that builds tables makes it:
+    the roofs above z_hi are a subset of those above z_lo, so none lies in
+    between when their count equals the clear table's total.  Anchor
+    volumes with slices at 0.5-2.5 m under higher roofs are level; a 30 m
+    UAV transmitter, or receivers at roof height, leave a call sloped.  The
+    tallest-pixel rule keeps the level rule: a sample is then blocked when
+    any pixel it touches has a roof above z_lo.
+
     Special cases, each with what removing it cost in paired runs on a 2-core Xeon host:
-    - a level call (z_lo == z_hi) gathers a bool map of roofs above z: 12-19%;
+    - a level call gathers from a bool map of roofs above z_lo: 12-19%;
+    - a call with no roof in (z_lo, z_hi] is level, not only one with
+      z_lo == z_hi: 1.46-1.68x on multi-slice anchor fans, 1.22x on a
+      scene_build cycle's eight fans;
     - the slices of a group share its t, pixels and roofs: 1.3-2.5x on volumes;
     - the run-decision stage reuses scratch sized for the largest chunk: 4-19%;
-    - no column per member unless a group has two members: 12-20% on sloped fans.
-    A level call's samples all have z = z_lo, so a sample is blocked exactly
-    when its roof is above z, and that bool map is also its one table's map.
+    - no column per member unless a group has two members: 12-20% on sloped fans;
+    - a power-of-two resolution is folded into each chunk's rays (see
+      _in_pixels), and 1 m skips the division: 3-9% on the cycle's fans,
+      15% on a 30 m UAV volume;
+    - stage 2 skips the clip when every endpoint lies in [0, n - 1/2] px on
+      both axes, since its samples before K then lie in (-1, n), where the
+      int cast gives the clipped pixel, and its padded samples are masked
+      (take mode "clip" keeps their index in bounds): 2-7%;
+    - counts under 2**16 are sorted as uint16, for which numpy's stable
+      sort is a radix sort with the same permutation: 2-6%.
+    The fold holds for samples at origin + t * u; the mid + vec * s samples
+    of the tallest-pixel rule need it derived again.
     """
     n_s, n_p = bz.shape
     h_px, w_px = heights.shape
@@ -217,10 +276,10 @@ def _blockage(
             t += a[:, 2]
             z_lo, z_hi = min(z_lo, t.min()), max(z_hi, t.max())
     del dz, t
-    level = z_lo == z_hi
     counts = counts.T.ravel()
-    order = np.argsort(counts, kind="stable")  # member index ray * S + slice
-    counts = counts[order]
+    # numpy's stable sort of 16-bit keys is a radix sort
+    order = np.argsort(counts.astype(np.uint16) if counts.max() < 1 << 16 else counts, kind="stable")
+    counts = counts[order]  # member index ray * S + slice
     ray = order // n_s
     first = np.ones(len(order), dtype=bool)
     first[1:] = (counts[1:] != counts[:-1]) | (ray[1:] != ray[:-1])
@@ -230,16 +289,28 @@ def _blockage(
     del counts, ray, first
     chunks = _chunks(bounds, group_k)
 
-    if level:
-        occupied = flat_heights > z_lo
+    level = z_lo == z_hi
     # a table costs about what sampling does per pixel, so a call with fewer
     # samples than the map has pixels samples every run instead
     decide = int(group_k.sum()) >= h_px * w_px
-    if decide and level:
+    if level or decide:
+        occupied = flat_heights > z_lo
+    if decide:
         clear_table = full_table = _summed_area(occupied.reshape(h_px, w_px))
-    elif decide:
-        clear_table = _summed_area(flat_heights.reshape(h_px, w_px) > z_lo)
-        full_table = _summed_area(flat_heights.reshape(h_px, w_px) > z_hi)
+        if not level:
+            over_hi = flat_heights > z_hi
+            level = np.count_nonzero(over_hi) == clear_table[-1]  # no roof in (z_lo, z_hi]
+            if not level:
+                full_table = _summed_area(over_hi.reshape(h_px, w_px))
+            del over_hi
+    # samples before K lie between their endpoints to within a few ulps, so
+    # with every endpoint in [0, n - 1/2] px stage 2's int cast needs no clip
+    clip_w, clip_h = w_px, h_px
+    with np.errstate(over="ignore"):
+        if all(0 <= c.min() and c.max() <= w_px - 0.5 for c in (a[:, 0] / resolution, bx / resolution)):
+            clip_w = None
+        if all(0 <= c.min() and c.max() <= h_px - 0.5 for c in (a[:, 1] / resolution, by / resolution)):
+            clip_h = None
     # scratch sized for the largest chunk and reused by every pass, since
     # fresh arrays would page-fault on each pass: the four sample blocks
     # first hold a pass's run edges (runs + 1 per group), then its undecided
@@ -251,7 +322,6 @@ def _blockage(
         group_size = max(group_size, (e - g) * max(n_runs * run, n_runs + 1))
         member_size = max(member_size, int(bounds[e] - bounds[g]) * n_runs * run)
         run_size = max(run_size, (e - g) * n_runs)
-    shared_size = member_size if len(group_k) < len(order) else 0
     t_buf, pos_buf = (np.empty(group_size) for _ in range(2))
     cols_buf, cells_buf = (np.empty(group_size, dtype=np.int64) for _ in range(2))
     low_rows_buf = np.empty(run_size, dtype=np.int64)
@@ -260,20 +330,26 @@ def _blockage(
         high_rows_buf = np.empty(run_size, dtype=np.int64)
         count_buf, tmp_count_buf = (np.empty(run_size, dtype=clear_table.dtype) for _ in range(2))
         clear_buf, full_buf = (np.empty(run_size, dtype=bool) for _ in range(2))
-    z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
-    below_buf = np.empty(member_size, dtype=bool)
+    if not level:
+        shared_size = member_size if len(group_k) < len(order) else 0
+        z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
+        below_buf = np.empty(member_size, dtype=bool)
     beta = np.empty((n_s, n_p), dtype=np.float64)
     for g, e, width in chunks:
         k = group_k[g:e]
         k_float = k.astype(np.float64)  # as the int K would divide, without a mixed-type loop
+        k_max = int(k[-1])
         r = group_ray[g:e]
-        member_ray, member_slice = np.divmod(order[bounds[g] : bounds[e]], n_s)
+        (ox, dx, oy, dy), px_res = _in_pixels(np.array([a[r, 0], ux[r], a[r, 1], uy[r]]), resolution, k_max)
+        members = order[bounds[g] : bounds[e]]
+        member_ray, member_slice = np.divmod(members, n_s) if n_s > 1 else (members, 0)
         group_members = np.diff(bounds[g : e + 1])
         member_group = np.repeat(np.arange(e - g), group_members)
-        oz = a[member_ray, 2]
-        dz = bz[member_slice, member_ray] - oz
-        k_max = int(k[-1])
-        blocked = np.zeros(len(member_ray), dtype=np.int64)
+        blocked = np.zeros(e - g, dtype=np.int64)  # per group: decided runs, and sampled ones if level
+        if not level:
+            oz = a[member_ray, 2]
+            dz = bz[member_slice, member_ray] - oz
+            member_blocked = np.zeros(len(members), dtype=np.int64)
         # blocks are (step, group), so each group's values broadcast along the long axis
         for k0 in range(0, k_max, width):
             n_steps = min(width, k_max - k0)
@@ -286,22 +362,21 @@ def _blockage(
                 edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
                 t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(t_buf, edge_shape))
                 pos = _rows(pos_buf, edge_shape)
-                cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(cols_buf, edge_shape))
-                rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(cells_buf, edge_shape))
+                cols = _pixels(t, ox, dx, px_res, w_px, pos, _rows(cols_buf, edge_shape))
+                rows = _pixels(t, oy, dy, px_res, h_px, pos, _rows(cells_buf, edge_shape))
+                # each rectangle spans columns [left, right) and rows [top, bottom)
                 left = np.minimum(cols[:-1], cols[1:], out=_rows(t_buf.view(np.int64), shape))
                 right = np.maximum(cols[:-1], cols[1:], out=_rows(pos_buf.view(np.int64), shape))
+                right += 1
                 area = np.subtract(right, left, out=_rows(cols_buf, shape))  # cols is spent
-                area += 1
                 top = np.minimum(rows[:-1], rows[1:], out=_rows(low_rows_buf, shape))
                 bottom = np.maximum(rows[:-1], rows[1:], out=_rows(high_rows_buf, shape))
+                bottom += 1
                 height = np.subtract(bottom, top, out=_rows(cells_buf, shape))  # rows is spent
-                height += 1
                 area *= height
                 # corners in the (h + 1) x (w + 1) table, each made in place of a spent side
                 top *= w_px + 1
-                bottom += 1
                 bottom *= w_px + 1
-                right += 1
                 bottom_right = np.add(bottom, right, out=height)
                 right += top
                 bottom += left
@@ -320,10 +395,9 @@ def _blockage(
             np.clip(valid, 0, run, out=valid)
             undecided = np.greater(valid, 0, out=_rows(open_buf, shape))
             if decide:
-                decided = np.multiply(valid, full, out=bottom).sum(axis=0)
-                blocked += decided[member_group]
-                undecided &= ~clear
-                undecided &= ~full
+                blocked += np.multiply(valid, full, out=bottom).sum(axis=0)
+                decided = np.logical_or(clear, full, out=clear)
+                np.greater(undecided, decided, out=undecided)  # undecided and not decided
             open_runs = np.flatnonzero(undecided)
             if len(open_runs) == 0:
                 continue
@@ -336,10 +410,9 @@ def _blockage(
             t = np.add(steps, (k0 + run * open_run).astype(np.float64), out=_rows(t_buf, shape))
             t += 0.5
             t /= k_float[open_row]
-            ray_row = r[open_row]
             pos = _rows(pos_buf, shape)
-            cols = _pixels(t, a[ray_row, 0], ux[ray_row], resolution, w_px, pos, _rows(cols_buf, shape))
-            cells = _pixels(t, a[ray_row, 1], uy[ray_row], resolution, h_px, pos, _rows(cells_buf, shape))
+            cols = _pixels(t, ox[open_row], dx[open_row], px_res, clip_w, pos, _rows(cols_buf, shape))
+            cells = _pixels(t, oy[open_row], dy[open_row], px_res, clip_h, pos, _rows(cells_buf, shape))
             cells *= w_px
             cells += cols
             # samples past a group's own K or the pass's end count as clear
@@ -348,27 +421,27 @@ def _blockage(
             if level:  # a sample is blocked exactly when occupied marks its pixel; pos is spent
                 below = occupied.take(cells, out=_rows(pos_buf.view(bool), shape), mode="clip")
                 below[:, short] &= ~padding
-            else:
-                roof = flat_heights.take(cells, out=pos, mode="clip")  # pos is spent
-                roof[:, short] = np.where(padding, -np.inf, roof[:, short])  # an infinitely low roof
+                blocked += np.bincount(open_row, np.count_nonzero(below, axis=0), len(k)).astype(np.int64)
+                continue
+            roof = flat_heights.take(cells, out=pos, mode="clip")  # pos is spent
+            roof[:, short] = np.where(padding, -np.inf, roof[:, short])  # an infinitely low roof
             open_member = open_row
-            if len(member_group) > len(k):  # some group serves several slices: a column per member
+            if len(members) > len(k):  # some group serves several slices: a column per member
                 n_open = group_members[open_row]
                 open_index = np.repeat(np.arange(len(open_runs)), n_open)
                 open_member = np.arange(len(open_index)) - np.repeat(np.cumsum(n_open) - n_open, n_open)
                 open_member += (bounds[g:e] - bounds[g])[open_row][open_index]
                 shape = (run, len(open_index))
-                if level:
-                    below = below.take(open_index, axis=1, out=_rows(below_buf, shape), mode="clip")
-                else:
-                    t = t.take(open_index, axis=1, out=_rows(z_buf, shape), mode="clip")
-                    roof = roof.take(open_index, axis=1, out=_rows(roof_z_buf, shape), mode="clip")
-            if not level:
-                t *= dz[open_member]
-                t += oz[open_member]
-                below = np.less(t, roof, out=_rows(below_buf, shape))
-            blocked += np.bincount(open_member, np.count_nonzero(below, axis=0), len(member_ray)).astype(np.int64)
-        beta[member_slice, member_ray] = blocked / k[member_group]
+                t = t.take(open_index, axis=1, out=_rows(z_buf, shape), mode="clip")
+                roof = roof.take(open_index, axis=1, out=_rows(roof_z_buf, shape), mode="clip")
+            t *= dz[open_member]
+            t += oz[open_member]
+            below = np.less(t, roof, out=_rows(below_buf, shape))
+            member_blocked += np.bincount(open_member, np.count_nonzero(below, axis=0), len(members)).astype(np.int64)
+        blocked = blocked[member_group]
+        if not level:
+            blocked += member_blocked
+        beta.reshape(-1)[member_slice * n_p + member_ray] = blocked / k[member_group]
     return beta
 
 
@@ -400,10 +473,16 @@ def blockage_ratio_batch(
     and every sample of it is blocked.  Either way its count is an integer,
     so only the undecided runs are sampled and the ratio is the same bit for
     bit as sampling every sample.
-    When every ray is level at one shared height z, as the ordering's rays
-    between 1.5 m patch centres are, a sample's interpolated z is exactly z,
-    so the kernel counts the samples that land on a roof above z instead of
-    comparing heights; the ratio is the same bit for bit.
+    When no roof lies above the call's lowest sample z and at or below its
+    highest, a sample is blocked exactly when its roof is above that lowest
+    z, so the kernel counts the samples that land on such a roof instead of
+    comparing heights, once for all the slices of a ray; the ratio is the
+    same bit for bit.  Rays at one shared height, as the ordering's rays
+    between 1.5 m patch centres are, always qualify; otherwise only a call
+    with tables makes the test, which costs a pass over the map.
+    A power-of-two resolution is folded into the rays, and stage 2 skips
+    the clip to the map when every endpoint lies at least half a pixel
+    inside its far edge; both give the same pixels bit for bit.
     The anchor maps share one kernel with this function and sample each
     ray's x/y once for all height slices with the same K.  Swapping a and b
     visits the same positions, but a sample exactly on a pixel edge may round

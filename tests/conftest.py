@@ -1,6 +1,12 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles and hypothesis settings for the test suite."""
 
 import numpy as np
+from hypothesis import settings
+
+# every property runs the same examples on each run, keeps no example
+# database and has no deadline; each test sets its own max_examples and phases
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def ssim_oracle(a, b, data_range=1.0):

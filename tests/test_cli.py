@@ -395,7 +395,7 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: could not place building") and err.count("\n") == 1
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         side=st.integers(1, 12),
         n_buildings=st.integers(0, 12),

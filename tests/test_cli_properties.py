@@ -41,7 +41,7 @@ FLOATS = st.sampled_from(EXTREMES + (0.5, 2.0, 8.5))  # the last ones fit the sc
 SMALL_INTS = st.integers(-1, 4)
 
 PROPERTY = settings(
-    max_examples=40, deadline=None, derandomize=True, database=None,
+    max_examples=40,
     phases=(Phase.explicit, Phase.generate),
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )

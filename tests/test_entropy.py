@@ -158,10 +158,7 @@ class TestStepEntropiesOracle:
             assert np.array_equal(LogitTrace(z).step_entropies(base2), expected)
             assert np.array_equal(expected, [step_entropy_oracle(row, base2) for row in z])
 
-    @settings(
-        max_examples=200, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=200, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_any_block_gives_the_reference(self, data):
         # blocks of a few logits put block edges everywhere, and below the vocab
@@ -205,10 +202,7 @@ class TestOverflowingRowRange:
         assert np.array_equal(prof.mean, h) and np.isfinite(prof.overall_mean)
         assert np.array_equal(dh.grid, np.zeros((3, 3)))
 
-    @settings(
-        max_examples=200, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=200, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_any_finite_logits(self, data):
         n, vocab = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from radiofront import (
+    CostField,
     GridFormatError,
     HeightMap,
     LogitTrace,
+    OrderPi,
     RadioField,
     RxConfig,
     Scene,
@@ -203,6 +205,50 @@ class TestInvariants:
         assert np.allclose(rx.slice_heights(), [6.0, 8.0, 10.0, 12.0, 14.0])
         with pytest.raises(ValidationError):
             RxConfig(n_z=0)
+
+
+# each type's three variants: a base, one with another array, one with another non-array field
+EQUALITY_CASES = {
+    "HeightMap": lambda v: HeightMap(np.full((3, 4), 2.0 * (v == 1)), 1.0 + (v == 2)),
+    "RadioField": lambda v: RadioField(np.full((2, 3, 3), -80.0 - (v == 1)), UNIT_DB, 1.0 + (v == 2)),
+    "Scene": lambda v: Scene(
+        HeightMap(np.full((4, 4), 5.0 * (v == 1)), 1.0), TxConfig(1.5, 1.5), RxConfig(n_z=1 + (v == 2))
+    ),
+    "OrderPi": lambda v: OrderPi([3, 2, 1, 0] if v == 1 else [0, 1, 2, 3], "custom", {"step": 1 + (v == 2)}),
+    "CostField": lambda v: CostField([0.0, 1.0, 2.0 + (v == 1)], [-1, 0, 0], 0 if v < 2 else 1),
+    "LogitTrace": lambda v: LogitTrace(
+        np.full((4, 3), 0.5 * (v == 1)), OrderPi([1, 0, 2, 3] if v == 2 else [0, 1, 2, 3])
+    ),
+}
+
+
+class TestEquality:
+    """Two distinct equal-valued objects compare equal; `==` used to raise on their arrays."""
+
+    @pytest.mark.parametrize("name", sorted(EQUALITY_CASES))
+    def test_equal_values_compare_equal(self, name):
+        make = EQUALITY_CASES[name]
+        assert make(0) == make(0)
+        assert not make(0) != make(0)
+
+    @pytest.mark.parametrize("variant", [1, 2], ids=["array", "other-field"])
+    @pytest.mark.parametrize("name", sorted(EQUALITY_CASES))
+    def test_a_differing_field_compares_unequal(self, name, variant):
+        make = EQUALITY_CASES[name]
+        assert make(0) != make(variant)
+        assert not make(variant) == make(0)
+
+    @pytest.mark.parametrize("name", sorted(EQUALITY_CASES))
+    def test_other_types_compare_unequal_and_hashing_still_fails(self, name):
+        obj = EQUALITY_CASES[name](0)
+        for other in (None, 0, "x", obj.__dict__, *(make(0) for n, make in EQUALITY_CASES.items() if n != name)):
+            assert obj != other and not obj == other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+    def test_array_shape_matters(self):
+        assert HeightMap(np.zeros((2, 3)), 1.0) != HeightMap(np.zeros((3, 2)), 1.0)
+        assert RadioField(np.zeros((1, 2, 2)), UNIT_DB) == RadioField(np.zeros((2, 2)), UNIT_DB)
 
 
 class TestRasterizeTx:

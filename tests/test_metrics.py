@@ -147,10 +147,7 @@ class TestSsim:
         )
 
     # not shrunk: a summation-order fault fails on its first differing example
-    @settings(
-        max_examples=100, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
     @given(
         h=st.integers(11, 300),
         w=st.integers(11, 300),

@@ -403,10 +403,7 @@ class TestPatchGraphCache:
 
 
 class TestFrontierRelaxation:
-    @settings(
-        max_examples=60, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=60, phases=(Phase.explicit, Phase.generate))
     @given(
         city=st.integers(0, 2**16),
         shuffle=st.integers(0, 2**32 - 1),

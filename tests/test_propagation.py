@@ -235,10 +235,7 @@ class TestBlockageRatio:
             assert 0.0 <= beta_ab <= 1.0
             assert abs(beta_ab - beta_ba) <= 1.0 / k
 
-    @settings(
-        max_examples=200, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=200, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_ratio_in_unit_interval(self, data):
         h_px, w_px, n = (data.draw(st.integers(1, 12)) for _ in range(3))
@@ -362,10 +359,7 @@ class TestBlockageReference:
             beta = blockage_ratio_batch(heights, 1e-5, a, b)
         assert beta[0] == blockage_ratio_reference(heights, 1e-5, a, b)[0] == 0.5
 
-    @settings(
-        max_examples=150, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=150, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_any_budget_gives_the_reference_beta(self, data):
         # budgets of a few samples force many chunks and cut rays into segments
@@ -391,10 +385,7 @@ class TestBlockageReference:
             assert np.array_equal(sliced[s], blockage_ratio_reference(heights, res, a, target))
 
 
-    @settings(
-        max_examples=150, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=150, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_level_calls_give_the_reference_beta(self, data):
         # every endpoint at one shared z: the kernel counts the roofs above z,
@@ -440,10 +431,7 @@ class TestBlockageReference:
 class TestRunDecisions:
     """Runs that the summed-area tables decide keep the reference kernel's beta bit for bit."""
 
-    @settings(
-        max_examples=250, deadline=None, derandomize=True, database=None,
-        phases=(Phase.explicit, Phase.generate),
-    )
+    @settings(max_examples=250, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
     def test_any_run_length_gives_the_reference_beta(self, data):
         budget = data.draw(st.integers(1, 12), label="budget")
@@ -538,6 +526,184 @@ class TestRunDecisions:
         volume = anchor_volume(scene).values
         for k, z in enumerate(scene.rx.slice_heights()):
             assert np.array_equal(volume[k], anchor_slice_reference(scene, z))
+
+
+def sample_z_bounds(res, a, b, bz):
+    """The lowest and highest z of any member's first and last sample, computed as the kernel does."""
+    ux, uy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    uz = bz - a[:, 2]
+    counts = _sample_counts(np.sqrt((ux * ux + uy * uy) + uz * uz), res)
+    zs = [t * (bz - a[:, 2]) + a[:, 2] for t in (0.5 / counts, (counts - 1 + 0.5) / counts)]
+    return min(z.min() for z in zs), max(z.max() for z in zs)
+
+
+def axis_coordinate(n, res):
+    """A coordinate on an axis of n pixels: inside, on a pixel edge or the border, or off the map."""
+    return (
+        st.floats(0, n * res, exclude_max=True)
+        | st.integers(0, n).map(lambda j: j * res)
+        | st.sampled_from([(n - 0.5) * res, np.nextafter(n * res, 0.0)])
+        | st.floats(-2.0 * n * res, 3.0 * n * res)
+    )
+
+
+def count_tables(monkeypatch):
+    """Route propagation._summed_area through a counter; returns the list of table shapes built."""
+    shapes = []
+    build = propagation._summed_area
+    monkeypatch.setattr(propagation, "_summed_area", lambda mask: shapes.append(mask.shape) or build(mask))
+    return shapes
+
+
+class TestLevelRuleAndFold:
+    """Calls with no roof between their sample heights count the roofs above z_lo; power-of-two
+    resolutions are folded into the rays; both keep the reference kernel's beta bit for bit."""
+
+    @settings(max_examples=80, phases=(Phase.explicit, Phase.generate))
+    @given(data=st.data())
+    def test_any_roof_range_and_resolution_gives_the_reference_beta(self, data):
+        budget = data.draw(st.integers(1, 12) | st.just(propagation.SAMPLE_BUDGET), label="budget")
+        n_s = data.draw(st.integers(1, 3), label="n_s")
+        n = data.draw(st.integers(1, 6), label="rays")
+        h_px, w_px = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        res = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 2.0**-3, 0.7, 1.3, 3.0]), label="res")
+        heights_z = st.sampled_from([0.5, 1.5, 2.5]) | st.floats(0, 30)
+        a = np.array([[data.draw(axis_coordinate(w_px, res)), data.draw(axis_coordinate(h_px, res)),
+                       data.draw(heights_z)] for _ in range(n)])
+        b = np.array([[data.draw(axis_coordinate(w_px, res)), data.draw(axis_coordinate(h_px, res)),
+                       data.draw(heights_z)] for _ in range(n)])
+        bz = np.array([b[:, 2]] + [[data.draw(heights_z) for _ in range(n)] for _ in range(n_s - 1)])
+        z_lo, z_hi = sample_z_bounds(res, a, b, bz)
+        # a few roof heights, mostly exactly at the call's lowest or highest
+        # sample z, one float step off them, between them or outside them
+        edges = st.sampled_from([
+            0.0, np.nextafter(z_lo, -np.inf), np.nextafter(z_lo, np.inf), np.nextafter(z_hi, -np.inf),
+            np.nextafter(z_hi, np.inf), (z_lo + z_hi) / 2, z_hi + 5.0, 40.0, math.nan,
+        ])
+        roof = st.one_of(st.just(z_lo), st.just(z_hi), edges, edges, st.floats(0, 40))
+        palette = data.draw(st.lists(roof, min_size=1, max_size=3), label="palette")
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=st.sampled_from(palette)), label="heights")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "SAMPLE_BUDGET", budget)
+            single = blockage_ratio_batch(heights, res, a, b)
+            sliced = propagation._blockage(heights, res, a, b[:, 0], b[:, 1], bz)
+        for s in range(n_s):  # slice 0 holds the rays' own targets
+            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
+            assert np.array_equal(sliced[s], blockage_ratio_reference(heights, res, a, target))
+        assert np.array_equal(single, sliced[0])
+
+    @pytest.mark.parametrize("roof", ["none", "at-a-slice", "between-slices"])
+    def test_volume_is_level_unless_a_roof_lies_between_its_slice_heights(self, monkeypatch, roof):
+        # slices at 0.5, 1.5 and 2.5 m under 6.6-19.8 m roofs: every sample of
+        # the call is blocked exactly where the roof is above 0.5 m, so the call
+        # builds one table; a roof in (0.5, 2.5] needs the second table
+        base = random_city(5, side_px=48)
+        values = base.heightmap.values.copy()
+        if roof != "none":
+            values[3, 40] = {"at-a-slice": 1.5, "between-slices": 2.0}[roof]
+        scene = Scene(HeightMap(values, 1.0), base.tx, RxConfig(n_z=3))
+        tables = count_tables(monkeypatch)
+        volume = propagation._anchor_slices(scene, scene.rx.slice_heights()).values
+        assert len(tables) == (1 if roof == "none" else 2)
+        for k, z in enumerate(scene.rx.slice_heights()):
+            assert np.array_equal(volume[k], anchor_slice_reference(scene, z))
+
+    def test_uav_volume_is_not_level(self, monkeypatch):
+        # a 30 m transmitter: the call's z span holds every roof
+        base = random_city(11, side_px=48)
+        scene = Scene(base.heightmap, replace(base.tx, z=30.0), RxConfig(n_z=3))
+        tables = count_tables(monkeypatch)
+        volume = propagation._anchor_slices(scene, scene.rx.slice_heights()).values
+        assert len(tables) == 2
+        for k, z in enumerate(scene.rx.slice_heights()):
+            assert np.array_equal(volume[k], anchor_slice_reference(scene, z))
+
+    def test_a_call_without_tables_makes_no_roof_range_test(self, monkeypatch):
+        # one sloped ray on a 64^2 map: too few samples for tables, so the
+        # call stays sloped and compares float heights
+        heights = np.zeros((64, 64))
+        heights[:, 30:34] = 10.0
+        a, b = np.array([[0.5, 8.5, 1.0]]), np.array([[63.5, 8.5, 2.0]])
+        tables = count_tables(monkeypatch)
+        beta = blockage_ratio_batch(heights, 1.0, a, b)
+        assert tables == []
+        assert np.array_equal(beta, blockage_ratio_reference(heights, 1.0, a, b))
+
+    @pytest.mark.parametrize("res", [0.25, 0.5, 2.0, 4.0, 2.0**-10])
+    def test_power_of_two_resolutions_are_folded(self, res):
+        rays = np.array([[0.5, 3.0, 1.25], [-2.0, 0.0, 7.75], [0.0, 1e-3, 3.5], [1.5, -0.5, 2.0]])
+        scaled, unit = propagation._in_pixels(rays, res, k_max=100)
+        assert unit == 1.0 and np.array_equal(scaled, rays / res)
+
+    @pytest.mark.parametrize("res", [1.0, 0.7, 1.3, 3.0])
+    def test_other_resolutions_are_not_folded(self, res):
+        rays = np.array([[0.5, 3.0], [-2.0, 0.0], [0.0, 1e-3], [1.5, -0.5]])
+        scaled, unit = propagation._in_pixels(rays, res, k_max=100)
+        assert unit == res and scaled is rays
+
+    @pytest.mark.parametrize(
+        "res, origin, step",
+        [(2.0**-10, 1e306, 1.0), (2.0**-10, -1e306, 1.0), (2.0, 1e-310, 1.0), (2.0, 0.5, 3e-310)],
+        ids=["origin-overflows", "negative-origin-overflows", "origin-subnormal", "step-subnormal"],
+    )
+    def test_fold_falls_back_where_a_scaled_value_is_not_normal(self, res, origin, step):
+        rays = np.array([[origin, 0.5], [step, 0.0], [0.5, 0.5], [2.0, 1.0]])
+        kept, unit = propagation._in_pixels(rays, res, k_max=8)
+        assert unit == res and kept is rays
+
+    @pytest.mark.parametrize("x", [1e306, -1e306])
+    def test_far_rays_at_a_tiny_power_of_two_resolution(self, x):
+        # x / 2**-10 overflows, so the rays stay in meters, and every sample
+        # lands in the edge column, as it does for a ray along that column
+        res = 2.0**-10
+        heights = np.zeros((64, 4))
+        heights[::2, 0 if x < 0 else 3] = 10.0
+        a = np.array([[x, 0.5 * res, 1.5], [x, 0.5 * res, 1.0]])
+        b = np.array([[x, 63.5 * res, 1.5], [x, 63.5 * res, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = blockage_ratio_batch(heights, res, a, b)
+        edge = (0.5 if x < 0 else 3.5) * res
+        inside = (np.column_stack([np.full(2, edge), p[:, 1:]]) for p in (a, b))
+        assert np.array_equal(beta, blockage_ratio_reference(heights, res, *inside))
+        assert 0.4 < beta[0] < 0.6
+
+    @pytest.mark.parametrize("n_s", [1, 3])
+    def test_subnormal_offsets_at_resolution_two(self, n_s):
+        # origins and steps of about 1e-310 m halve into subnormals, so the
+        # rays stay in meters, and beta is the reference's
+        heights = np.zeros((3, 3))
+        heights[1, 1] = heights[0, 2] = 5.0
+        a = np.array([[1e-310, 1e-310, 1.0], [0.0, 3e-310, 1.5], [1.5, 0.5, 1.5], [2.9, 5.9, 1.5]])
+        b = np.array([[5.9, 5.9, 1.0], [5.9, 3e-310, 1.5], [1.5 + 1e-310, 5.5, 1.5], [0.0, 0.0, 1.5]])
+        bz = np.broadcast_to(b[:, 2], (n_s, len(b))) + np.arange(n_s)[:, np.newaxis]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = propagation._blockage(heights, 2.0, a, b[:, 0], b[:, 1], bz)
+        for s in range(n_s):
+            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
+            assert np.array_equal(beta[s], blockage_ratio_reference(heights, 2.0, a, target))
+
+    @pytest.mark.parametrize("res", [0.5, 1.0, 0.7])
+    @pytest.mark.parametrize("n_s", [1, 3])
+    @pytest.mark.parametrize("beyond", [-0.5, 0.0, 0.45], ids=["half-inside", "on-border", "past-border"])
+    def test_rays_ending_on_the_border_and_on_pixel_edges(self, res, n_s, beyond):
+        # endpoints at 0, on pixel edges and at n - 1/2 px skip stage 2's
+        # clip; those at n and n + 0.45 px keep it.  The last ray runs 5.1 px
+        # along a row, so its last sample lies 0.425 px before its end: past
+        # the border, unclipped, it would read the next row's first pixel.
+        heights = np.where(np.random.default_rng(8).random((5, 6)) < 0.5, 12.0, 0.0)
+        heights[:, 3] = 12.0
+        heights[1, 5], heights[2, 0] = 0.0, 12.0
+        heights[4, 5] = math.nan
+        end_x, end_y = (6 + beyond) * res, (5 + beyond) * res
+        a = np.array([[0.0, 0.0, 1.5], [res, 2 * res, 1.5], [0.5 * res, 4.5 * res, 1.5], [end_x - 5.1 * res, 1.5 * res, 1.5]])
+        b = np.array([[end_x, end_y, 1.5], [end_x, 0.0, 1.5], [3 * res, 0.0, 1.5], [end_x, 1.5 * res, 1.5]])
+        bz = np.broadcast_to(b[:, 2], (n_s, len(b))) + 0.5 * np.arange(n_s)[:, np.newaxis]
+        beta = propagation._blockage(heights, res, a, b[:, 0], b[:, 1], bz)
+        for s in range(n_s):
+            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
+            assert np.array_equal(beta[s], blockage_ratio_reference(heights, res, a, target))
 
 
 class TestFarRays:

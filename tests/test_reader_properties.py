@@ -26,7 +26,7 @@ from radiofront import (
     save_trace,
 )
 
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=150)
 
 
 def _valid_bytes(write) -> bytes:
