@@ -19,7 +19,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
 SAMPLE_BUDGET = 1 << 18  # ray samples (member rows x K) held at once by the blockage kernel
 RUN_LENGTH = 8  # consecutive samples of a ray the blockage kernel decides at once
-_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 # single-channel dB field over the pixel grid at receiver height
 AnchorMap = RadioField
@@ -128,45 +127,18 @@ def _summed_area(mask: np.ndarray) -> np.ndarray:
     return table.ravel()
 
 
-def _pixels(t, origin, u, resolution: float, n: int | None, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Pixel index on one axis of the samples at t of rays origin + t * u.
+def _pixels(t, origin, u, resolution: float, n: int, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pixel index on one axis of the samples at t of rays origin + t * u, clipped to [0, n) before the cast.
 
-    origin and u are in meters, or already in pixels when resolution is 1.0
-    (a division by 1.0 changes no float, so it is skipped).  Positions are
-    clipped to [0, n) before the cast; n None skips the clip, for samples
-    known to lie in (-1, n), where the cast alone gives the same pixel.  A
-    position past the float range becomes infinite and clips to the edge.
+    A division by 1.0 changes no float, so a 1 m map skips it.
     """
     np.multiply(t, u, out=pos)
     pos += origin
     if resolution != 1.0:
-        with np.errstate(over="ignore"):
-            pos /= resolution
-    if n is not None:
-        np.clip(pos, 0, n - 1, out=pos)
+        pos /= resolution
+    np.clip(pos, 0, n - 1, out=pos)
     out[...] = pos
     return out
-
-
-def _in_pixels(rays: np.ndarray, resolution: float, k_max: int) -> tuple[np.ndarray, float]:
-    """A chunk's rays (rows x origin, x step, y origin, y step) in pixels where that is exact, and their unit.
-
-    For res = 2**e, (t * u + o) / res equals t * (u / res) + o / res bit for
-    bit: scaling by a power of two is exact, and rounding commutes with it,
-    as long as no value is infinite or falls below the normal range.  So the
-    rays are scaled once per chunk, and the samples skip the division.
-    Every nonzero |o| and |u|, scaled or not, must be at least
-    2 * k_max * tiny, so that t * u (t >= 0.5 / k_max) stays normal too;
-    otherwise the rays are returned in meters, with the resolution.
-    """
-    if resolution == 1.0 or math.frexp(resolution)[0] != 0.5:
-        return rays, resolution
-    with np.errstate(over="ignore"):  # an infinite scaled value is refused below
-        scaled = rays / resolution
-    least = np.minimum(np.abs(rays), np.abs(scaled))
-    if np.isfinite(scaled).all() and not np.any((least > 0) & (least < 2.0 * k_max * _TINY)):
-        return scaled, 1.0
-    return rays, resolution
 
 
 def _rectangle_counts(table: np.ndarray, corners, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -237,22 +209,13 @@ def _blockage(
     Special cases, each with what removing it cost in paired runs on a 2-core Xeon host:
     - a level call gathers from a bool map of roofs above z_lo: 12-19%;
     - a call with no roof in (z_lo, z_hi] is level, not only one with
-      z_lo == z_hi: 1.46-1.68x on multi-slice anchor fans, 1.22x on a
-      scene_build cycle's eight fans;
+      z_lo == z_hi: 1.33-1.68x on multi-slice anchor fans, 1.16-1.22x on
+      a scene_build cycle's eight fans;
     - the slices of a group share its t, pixels and roofs: 1.3-2.5x on volumes;
     - the run-decision stage reuses scratch sized for the largest chunk: 4-19%;
     - no column per member unless a group has two members: 12-20% on sloped fans;
-    - a power-of-two resolution is folded into each chunk's rays (see
-      _in_pixels), and 1 m skips the division: 3-9% on the cycle's fans,
-      15% on a 30 m UAV volume;
-    - stage 2 skips the clip when every endpoint lies in [0, n - 1/2] px on
-      both axes, since its samples before K then lie in (-1, n), where the
-      int cast gives the clipped pixel, and its padded samples are masked
-      (take mode "clip" keeps their index in bounds): 2-7%;
-    - counts under 2**16 are sorted as uint16, for which numpy's stable
-      sort is a radix sort with the same permutation: 2-6%.
-    The fold holds for samples at origin + t * u; the mid + vec * s samples
-    of the tallest-pixel rule need it derived again.
+    - a 1 m map skips the division by its resolution: 7-8% on the cycle's
+      eight fans, 10-16% on a 30 m UAV volume.
     """
     n_s, n_p = bz.shape
     h_px, w_px = heights.shape
@@ -277,9 +240,8 @@ def _blockage(
             z_lo, z_hi = min(z_lo, t.min()), max(z_hi, t.max())
     del dz, t
     counts = counts.T.ravel()
-    # numpy's stable sort of 16-bit keys is a radix sort
-    order = np.argsort(counts.astype(np.uint16) if counts.max() < 1 << 16 else counts, kind="stable")
-    counts = counts[order]  # member index ray * S + slice
+    order = np.argsort(counts, kind="stable")  # member index ray * S + slice
+    counts = counts[order]
     ray = order // n_s
     first = np.ones(len(order), dtype=bool)
     first[1:] = (counts[1:] != counts[:-1]) | (ray[1:] != ray[:-1])
@@ -303,14 +265,6 @@ def _blockage(
             if not level:
                 full_table = _summed_area(over_hi.reshape(h_px, w_px))
             del over_hi
-    # samples before K lie between their endpoints to within a few ulps, so
-    # with every endpoint in [0, n - 1/2] px stage 2's int cast needs no clip
-    clip_w, clip_h = w_px, h_px
-    with np.errstate(over="ignore"):
-        if all(0 <= c.min() and c.max() <= w_px - 0.5 for c in (a[:, 0] / resolution, bx / resolution)):
-            clip_w = None
-        if all(0 <= c.min() and c.max() <= h_px - 0.5 for c in (a[:, 1] / resolution, by / resolution)):
-            clip_h = None
     # scratch sized for the largest chunk and reused by every pass, since
     # fresh arrays would page-fault on each pass: the four sample blocks
     # first hold a pass's run edges (runs + 1 per group), then its undecided
@@ -340,7 +294,6 @@ def _blockage(
         k_float = k.astype(np.float64)  # as the int K would divide, without a mixed-type loop
         k_max = int(k[-1])
         r = group_ray[g:e]
-        (ox, dx, oy, dy), px_res = _in_pixels(np.array([a[r, 0], ux[r], a[r, 1], uy[r]]), resolution, k_max)
         members = order[bounds[g] : bounds[e]]
         member_ray, member_slice = np.divmod(members, n_s) if n_s > 1 else (members, 0)
         group_members = np.diff(bounds[g : e + 1])
@@ -362,8 +315,8 @@ def _blockage(
                 edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
                 t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(t_buf, edge_shape))
                 pos = _rows(pos_buf, edge_shape)
-                cols = _pixels(t, ox, dx, px_res, w_px, pos, _rows(cols_buf, edge_shape))
-                rows = _pixels(t, oy, dy, px_res, h_px, pos, _rows(cells_buf, edge_shape))
+                cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(cols_buf, edge_shape))
+                rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(cells_buf, edge_shape))
                 # each rectangle spans columns [left, right) and rows [top, bottom)
                 left = np.minimum(cols[:-1], cols[1:], out=_rows(t_buf.view(np.int64), shape))
                 right = np.maximum(cols[:-1], cols[1:], out=_rows(pos_buf.view(np.int64), shape))
@@ -410,9 +363,10 @@ def _blockage(
             t = np.add(steps, (k0 + run * open_run).astype(np.float64), out=_rows(t_buf, shape))
             t += 0.5
             t /= k_float[open_row]
+            ray_row = r[open_row]
             pos = _rows(pos_buf, shape)
-            cols = _pixels(t, ox[open_row], dx[open_row], px_res, clip_w, pos, _rows(cols_buf, shape))
-            cells = _pixels(t, oy[open_row], dy[open_row], px_res, clip_h, pos, _rows(cells_buf, shape))
+            cols = _pixels(t, a[ray_row, 0], ux[ray_row], resolution, w_px, pos, _rows(cols_buf, shape))
+            cells = _pixels(t, a[ray_row, 1], uy[ray_row], resolution, h_px, pos, _rows(cells_buf, shape))
             cells *= w_px
             cells += cols
             # samples past a group's own K or the pass's end count as clear
@@ -480,9 +434,6 @@ def blockage_ratio_batch(
     same bit for bit.  Rays at one shared height, as the ordering's rays
     between 1.5 m patch centres are, always qualify; otherwise only a call
     with tables makes the test, which costs a pass over the map.
-    A power-of-two resolution is folded into the rays, and stage 2 skips
-    the clip to the map when every endpoint lies at least half a pixel
-    inside its far edge; both give the same pixels bit for bit.
     The anchor maps share one kernel with this function and sample each
     ray's x/y once for all height slices with the same K.  Swapping a and b
     visits the same positions, but a sample exactly on a pixel edge may round

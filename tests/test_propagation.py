@@ -555,9 +555,9 @@ def count_tables(monkeypatch):
     return shapes
 
 
-class TestLevelRuleAndFold:
-    """Calls with no roof between their sample heights count the roofs above z_lo; power-of-two
-    resolutions are folded into the rays; both keep the reference kernel's beta bit for bit."""
+class TestLevelRule:
+    """Calls with no roof between their sample heights count the roofs above z_lo, and keep the
+    reference kernel's beta bit for bit."""
 
     @settings(max_examples=80, phases=(Phase.explicit, Phase.generate))
     @given(data=st.data())
@@ -629,69 +629,14 @@ class TestLevelRuleAndFold:
         assert tables == []
         assert np.array_equal(beta, blockage_ratio_reference(heights, 1.0, a, b))
 
-    @pytest.mark.parametrize("res", [0.25, 0.5, 2.0, 4.0, 2.0**-10])
-    def test_power_of_two_resolutions_are_folded(self, res):
-        rays = np.array([[0.5, 3.0, 1.25], [-2.0, 0.0, 7.75], [0.0, 1e-3, 3.5], [1.5, -0.5, 2.0]])
-        scaled, unit = propagation._in_pixels(rays, res, k_max=100)
-        assert unit == 1.0 and np.array_equal(scaled, rays / res)
-
-    @pytest.mark.parametrize("res", [1.0, 0.7, 1.3, 3.0])
-    def test_other_resolutions_are_not_folded(self, res):
-        rays = np.array([[0.5, 3.0], [-2.0, 0.0], [0.0, 1e-3], [1.5, -0.5]])
-        scaled, unit = propagation._in_pixels(rays, res, k_max=100)
-        assert unit == res and scaled is rays
-
-    @pytest.mark.parametrize(
-        "res, origin, step",
-        [(2.0**-10, 1e306, 1.0), (2.0**-10, -1e306, 1.0), (2.0, 1e-310, 1.0), (2.0, 0.5, 3e-310)],
-        ids=["origin-overflows", "negative-origin-overflows", "origin-subnormal", "step-subnormal"],
-    )
-    def test_fold_falls_back_where_a_scaled_value_is_not_normal(self, res, origin, step):
-        rays = np.array([[origin, 0.5], [step, 0.0], [0.5, 0.5], [2.0, 1.0]])
-        kept, unit = propagation._in_pixels(rays, res, k_max=8)
-        assert unit == res and kept is rays
-
-    @pytest.mark.parametrize("x", [1e306, -1e306])
-    def test_far_rays_at_a_tiny_power_of_two_resolution(self, x):
-        # x / 2**-10 overflows, so the rays stay in meters, and every sample
-        # lands in the edge column, as it does for a ray along that column
-        res = 2.0**-10
-        heights = np.zeros((64, 4))
-        heights[::2, 0 if x < 0 else 3] = 10.0
-        a = np.array([[x, 0.5 * res, 1.5], [x, 0.5 * res, 1.0]])
-        b = np.array([[x, 63.5 * res, 1.5], [x, 63.5 * res, 2.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            beta = blockage_ratio_batch(heights, res, a, b)
-        edge = (0.5 if x < 0 else 3.5) * res
-        inside = (np.column_stack([np.full(2, edge), p[:, 1:]]) for p in (a, b))
-        assert np.array_equal(beta, blockage_ratio_reference(heights, res, *inside))
-        assert 0.4 < beta[0] < 0.6
-
-    @pytest.mark.parametrize("n_s", [1, 3])
-    def test_subnormal_offsets_at_resolution_two(self, n_s):
-        # origins and steps of about 1e-310 m halve into subnormals, so the
-        # rays stay in meters, and beta is the reference's
-        heights = np.zeros((3, 3))
-        heights[1, 1] = heights[0, 2] = 5.0
-        a = np.array([[1e-310, 1e-310, 1.0], [0.0, 3e-310, 1.5], [1.5, 0.5, 1.5], [2.9, 5.9, 1.5]])
-        b = np.array([[5.9, 5.9, 1.0], [5.9, 3e-310, 1.5], [1.5 + 1e-310, 5.5, 1.5], [0.0, 0.0, 1.5]])
-        bz = np.broadcast_to(b[:, 2], (n_s, len(b))) + np.arange(n_s)[:, np.newaxis]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            beta = propagation._blockage(heights, 2.0, a, b[:, 0], b[:, 1], bz)
-        for s in range(n_s):
-            target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
-            assert np.array_equal(beta[s], blockage_ratio_reference(heights, 2.0, a, target))
-
     @pytest.mark.parametrize("res", [0.5, 1.0, 0.7])
     @pytest.mark.parametrize("n_s", [1, 3])
     @pytest.mark.parametrize("beyond", [-0.5, 0.0, 0.45], ids=["half-inside", "on-border", "past-border"])
     def test_rays_ending_on_the_border_and_on_pixel_edges(self, res, n_s, beyond):
-        # endpoints at 0, on pixel edges and at n - 1/2 px skip stage 2's
-        # clip; those at n and n + 0.45 px keep it.  The last ray runs 5.1 px
-        # along a row, so its last sample lies 0.425 px before its end: past
-        # the border, unclipped, it would read the next row's first pixel.
+        # endpoints at 0, on pixel edges, at n - 1/2 px, at n and at n + 0.45 px.
+        # The last ray runs 5.1 px along a row, so its last sample lies 0.425 px
+        # before its end: past the border, unclipped, it would read the next
+        # row's first pixel.
         heights = np.where(np.random.default_rng(8).random((5, 6)) < 0.5, 12.0, 0.0)
         heights[:, 3] = 12.0
         heights[1, 5], heights[2, 0] = 0.0, 12.0
