@@ -150,10 +150,10 @@ class GradLossConfig:
     lambda_z: float = 0.5
 
     def __post_init__(self):
-        if not self.scales or any(s < 1 for s in self.scales):
-            raise ValidationError("scales must be non-empty with factors >= 1")
-        if self.lambda_z < 0:
-            raise ValidationError("lambda_z must be >= 0")
+        if not self.scales or any(not isinstance(s, (int, np.integer)) or s < 1 for s in self.scales):
+            raise ValidationError(f"scales must be non-empty integers >= 1, got {self.scales!r}")
+        if not 0 <= self.lambda_z < math.inf:
+            raise ValidationError(f"lambda_z must be finite and >= 0, got {self.lambda_z!r}")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ tight neighbour s (d[s] + w(s, i) == d[i]) that comes first in (cost, index)
 order, i.e. the smallest (d[s], s); every other patch keeps its direct-path
 predecessor, the source.
 
-The patch graph (edges, their lengths and blockage, the per-source rows) does
-not depend on the transmitter, so it is built once per live height map and
-patch grid and held; see edge_weights.
+The patch graph (edges, their lengths and blockage, and each patch's
+8-neighbour stencil) does not depend on the transmitter, so it is built once
+per live height map and patch grid and held; see edge_weights.
 
 Also provided: the geometric scan orders (raster, hilbert, z-curve,
 subsample, serpentine), pathloss-ranked orders, a Bellman-Ford oracle, and
@@ -111,7 +111,12 @@ class PatchGrid:
         return np.column_stack([cx, cy, np.full(self.n_patches, self.z)])
 
     def patch_of(self, x: float, y: float) -> int:
+        """The patch holding point (x, y), which must lie in [0, n_side * patch_len) on both axes."""
+        extent = self.patch_px * self.n_side * self.resolution  # the map's extent, as HeightMap computes it
+        if not (0 <= x < extent and 0 <= y < extent):
+            raise ValidationError(f"point ({x!r}, {y!r}) lies outside the patch grid's [0, {extent!r}) m")
         side = self.patch_len
+        # a point just inside the far edge may divide to n_side
         c = min(int(x / side), self.n_side - 1)
         r = min(int(y / side), self.n_side - 1)
         return r * self.n_side + c
@@ -197,16 +202,27 @@ def _argsort_by_cost(d: np.ndarray) -> np.ndarray:
     return np.argsort(d, kind="stable")
 
 
-def _edge_list(n_side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected 8-connected edges (i, j) with i < j over the patch grid."""
-    r, c = np.divmod(np.arange(n_side * n_side), n_side)
-    src, dst = [], []
-    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+def _edge_list(n_side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Undirected 8-connected edges (src, dst) with src < dst over the patch grid,
+    and each patch's stencil: nbr[i, k] is patch i's neighbour in direction k and
+    edge[i, k] the index of that hop in (src, dst).  Where the grid ends, nbr[i, k]
+    is i and edge[i, k] is -1."""
+    patch = np.arange(n_side * n_side)
+    r, c = np.divmod(patch, n_side)
+    nbr = np.repeat(patch[:, None], 8, axis=1)
+    edge = np.full(nbr.shape, -1)
+    src, dst, k = [], [], 0
+    for j, (dr, dc) in enumerate(((0, 1), (1, 0), (1, 1), (1, -1))):
         rr, cc = r + dr, c + dc
         ok = (rr >= 0) & (rr < n_side) & (cc >= 0) & (cc < n_side)
-        src.append(np.flatnonzero(ok))
-        dst.append(rr[ok] * n_side + cc[ok])
-    return np.concatenate(src), np.concatenate(dst)
+        s, t = np.flatnonzero(ok), rr[ok] * n_side + cc[ok]
+        e = np.arange(k, k + len(s))
+        # direction j runs s -> t, direction 7 - j back along the same edge
+        nbr[s, j], edge[s, j], nbr[t, 7 - j], edge[t, 7 - j] = t, e, s, e
+        src.append(s)
+        dst.append(t)
+        k += len(s)
+    return np.concatenate(src), np.concatenate(dst), nbr, edge
 
 
 def _check_fits(scene: Scene, patches: PatchGrid) -> None:
@@ -240,42 +256,27 @@ def _blocked_cost(length, beta, alpha: float, clamp: float) -> np.ndarray:
     return cost
 
 
-def _group_by_source(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable order grouping directed edges by source, and each patch's (first, degree) in it."""
-    degree = np.bincount(s, minlength=n)
-    return np.argsort(s, kind="stable"), np.cumsum(degree) - degree, degree
-
-
 @dataclass(frozen=True)
 class _PatchGraph:
     """The transmitter-independent part of the wavefront solve on one map and patch grid.
 
     Undirected edges src[k] < dst[k] with their center distance and beta, and
-    every edge in both directions grouped by source: directed edge e runs
-    s[e] -> t[e] along undirected edge edge[e], and patch i's out-edges are
-    first[i] .. first[i] + degree[i] - 1.  Every array is read-only.
+    the 8-neighbour stencil (nbr, edge) of _edge_list.  Every array is read-only.
     """
 
     src: np.ndarray
     dst: np.ndarray
     length: np.ndarray
     beta: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
+    nbr: np.ndarray
     edge: np.ndarray
-    first: np.ndarray
-    degree: np.ndarray
 
     @classmethod
     def build(cls, h: HeightMap, patches: PatchGrid) -> "_PatchGraph":
         centers = patches.centers()
-        src, dst = _edge_list(patches.n_side)
+        src, dst, nbr, edge = _edge_list(patches.n_side)
         length, beta = _segments(h, centers[src], centers[dst])
-        # undirected edge k is directed edges k (src -> dst) and E + k (dst -> src)
-        both = np.concatenate([src, dst])
-        order, first, degree = _group_by_source(both, patches.n_patches)
-        s, t = both[order], np.concatenate([dst, src])[order]
-        arrays = (src, dst, length, beta, s, t, np.tile(np.arange(len(src)), 2)[order], first, degree)
+        arrays = (src, dst, length, beta, nbr, edge)
         for a in arrays:
             a.setflags(write=False)
         return cls(*arrays)
@@ -283,9 +284,9 @@ class _PatchGraph:
 
 # Patch graphs of the live height maps: id(map) -> {PatchGrid: graph}, least
 # recently used first.  A map's entry is dropped when the map is collected.
-# A graph takes about 340 bytes per patch (about 80 per undirected edge), so a
-# map holds at most _GRAPHS_PER_MAP x 340 x N bytes: 5.5 MB for grids of
-# N = 4096 (a 256^2 map at patch_px 4), 88 MB at N = 65,536 (patch_px 1).
+# A graph takes about 253 bytes per patch (32 per undirected edge, 128 for the
+# stencil), so a map holds at most _GRAPHS_PER_MAP x 253 x N bytes: 4.1 MB for
+# grids of N = 4096 (a 256^2 map at patch_px 4), 66 MB at N = 65,536 (patch_px 1).
 _GRAPHS_PER_MAP = 4
 _graphs: dict[int, dict[PatchGrid, _PatchGraph]] = {}
 _graphs_lock = threading.Lock()
@@ -353,60 +354,57 @@ def edge_weights(
     return graph.src, graph.dst, w
 
 
-def _relax_frontier(d0, s, t, w, first, degree) -> np.ndarray:
-    """Bellman-Ford rounds over the out-edges of the patches whose cost fell last round.
+def _relax_frontier(d0, nbr, w) -> np.ndarray:
+    """Bellman-Ford rounds over the hops out of the patches whose cost fell last round.
 
-    Every other edge would offer the same candidate as before.  The edges
-    come grouped by source, as the patch graph holds them: patch i's are
-    first[i] .. first[i] + degree[i] - 1.  np.minimum.at takes the same
-    minimum in any edge order, so the order within a group does not change d.
+    Every other hop would offer the same candidate as before.  Row i of the
+    stencil (nbr, w) holds patch i's hops; an off-grid hop costs inf, so it
+    offers no candidate.  np.minimum.at takes the same minimum in any hop
+    order, so the order within a row does not change d.
     """
     d = d0.copy()
     frontier = np.arange(len(d))
     while frontier.size:
-        deg = degree[frontier]
-        end = np.cumsum(deg)
-        # the out-edges first[i] + 0 .. degree[i] - 1 of every frontier patch i
-        e = np.arange(end[-1]) + np.repeat(first[frontier] - (end - deg), deg)
         prev = d.copy()
-        np.minimum.at(d, t[e], d[s[e]] + w[e])
+        np.minimum.at(d, nbr[frontier].ravel(), (d[frontier, None] + w[frontier]).ravel())
         frontier = np.flatnonzero(d < prev)
     return d
 
 
-def _relax_bellman_ford(d0: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _relax_bellman_ford(d0: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
     d = d0.copy()
     for _ in range(len(d0)):
         candidate = d.copy()
-        np.minimum.at(candidate, t, d[s] + w)
+        np.minimum.at(candidate, nbr.ravel(), (d[:, None] + w).ravel())
         if np.array_equal(candidate, d):
             break
         d = candidate
     return d
 
 
-def _tight_predecessors(d, initial: CostField, s, t, w) -> np.ndarray:
-    """Predecessors of the converged costs d under the module's predecessor rule."""
-    pred = initial.pred.copy()
-    e = np.flatnonzero((d[s] + w == d[t]) & (d[t] < initial.d[t]))
-    e = e[np.lexsort((s[e], d[s[e]], t[e]))]  # by target, then (d[s], s)
-    first = e[np.unique(t[e], return_index=True)[1]]
-    pred[t[first]] = s[first]
-    return pred
+def _tight_predecessors(d, initial: CostField, nbr, w) -> np.ndarray:
+    """Predecessors of the converged costs d under the module's predecessor rule.
+
+    Hop weights are symmetric, so row i of the stencil also holds the hops into
+    patch i: its tight neighbours s have d[s] + w == d[i].
+    """
+    dn = d[nbr]
+    tight = (dn + w == d[:, None]) & (d < initial.d)[:, None]
+    # the smallest (d[s], s): the lowest tight cost, then the lowest index among its ties
+    lowest = np.where(tight, dn, np.inf).min(axis=1, keepdims=True)
+    best = np.where(tight & (dn == lowest), nbr, len(d)).min(axis=1)
+    return np.where(best < len(d), best, initial.pred)
 
 
 def _solve(scene: Scene, patches: PatchGrid, params: OrderParams, relax=None) -> CostField:
-    """Relaxed costs over the held patch graph: by the frontier over its rows,
-    or by relax(d0, s, t, w) over its directed edges when one is given."""
+    """Relaxed costs over the held patch graph's stencil: by the frontier, or by
+    relax(d0, nbr, w) when one is given."""
     initial = init_costs(scene, patches, params)
     _, _, w = edge_weights(scene, patches, params)
     graph = _patch_graph(scene.heightmap, patches)
-    s, t, w = graph.s, graph.t, w[graph.edge]
-    if relax is None:
-        d = _relax_frontier(initial.d, s, t, w, graph.first, graph.degree)
-    else:
-        d = relax(initial.d, s, t, w)
-    d, pred = _snap_to_direct(d, _tight_predecessors(d, initial, s, t, w), initial)
+    w = np.append(w, np.inf)[graph.edge]  # an off-grid hop, edge -1, costs inf
+    d = (relax or _relax_frontier)(initial.d, graph.nbr, w)
+    d, pred = _snap_to_direct(d, _tight_predecessors(d, initial, graph.nbr, w), initial)
     return CostField(d, pred, initial.source)
 
 
@@ -416,7 +414,7 @@ def wavefront_order(
     """Blockage-aware shortest-cost order expanding outward from the transmitter.
 
     Relaxes the direct-path costs over the 8-connected patch graph in whole
-    array rounds, each over the out-edges of the patches whose cost fell in
+    array rounds, each over the hops out of the patches whose cost fell in
     the round before, until no cost falls.  Returns the patches sorted by
     ascending final cost (ties by ascending index) together with the cost
     field and its predecessor pointers.  The patch graph and its edge

@@ -130,12 +130,14 @@ def _summed_area(mask: np.ndarray) -> np.ndarray:
 def _pixels(t, origin, u, resolution: float, n: int, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Pixel index on one axis of the samples at t of rays origin + t * u, clipped to [0, n) before the cast.
 
-    A division by 1.0 changes no float, so a 1 m map skips it.
+    A division by 1.0 changes no float, so a 1 m map skips it.  A far sample
+    on a fine map may overflow to inf, which the clip puts in the edge pixel.
     """
     np.multiply(t, u, out=pos)
     pos += origin
     if resolution != 1.0:
-        pos /= resolution
+        with np.errstate(over="ignore"):
+            pos /= resolution
     np.clip(pos, 0, n - 1, out=pos)
     out[...] = pos
     return out

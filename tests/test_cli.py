@@ -296,6 +296,23 @@ class TestMetricsCommand:
         assert capsys.readouterr() == ("", message)
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--lambda-z", "nan"], "lambda_z must be finite and >= 0, got nan"),
+            (["--lambda-z", "inf"], "lambda_z must be finite and >= 0, got inf"),
+            (["--scales", "0,2"], "scales must be non-empty integers >= 1, got (0, 2)"),
+        ],
+    )
+    def test_bad_gradient_loss_value_is_named(self, tmp_path, capsys, flags, needle):
+        p_gt = tmp_path / "gt.rgf"
+        save_grid(RadioField(np.full((2, 8, 8), -80.0), UNIT_DB), p_gt)
+        report = tmp_path / "r.csv"
+        argv = ["metrics", "--pred", str(p_gt), "--gt", str(p_gt), "--report", str(report), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {needle}\n")
+        assert not report.exists()
+
     def test_identical_fields(self, tmp_path):
         g = np.random.default_rng(6).uniform(-140, -60, size=(2, 16, 16))
         p_gt = tmp_path / "gt.rgf"

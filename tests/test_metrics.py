@@ -230,6 +230,28 @@ class TestGrad3dLoss:
         )
         assert rep.inplane_per_scale[2] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "kwargs, needle",
+        [
+            ({"lambda_z": math.nan}, "lambda_z must be finite and >= 0, got nan"),
+            ({"lambda_z": math.inf}, "lambda_z must be finite and >= 0, got inf"),
+            ({"lambda_z": -1.0}, "lambda_z must be finite and >= 0, got -1.0"),
+            ({"scales": (1.5,)}, "scales must be non-empty integers >= 1, got (1.5,)"),
+            ({"scales": (1, 2.0)}, "scales must be non-empty integers >= 1, got (1, 2.0)"),
+            ({"scales": (0,)}, "scales must be non-empty integers >= 1, got (0,)"),
+            ({"scales": ()}, "scales must be non-empty integers >= 1, got ()"),
+        ],
+    )
+    def test_bad_config_is_named(self, kwargs, needle):
+        with pytest.raises(ValidationError) as err:
+            GradLossConfig(**kwargs)
+        assert str(err.value) == needle
+
+    def test_numpy_integer_scales_are_accepted(self):
+        p = np.random.default_rng(13).uniform(size=(1, 8, 8))
+        cfg = GradLossConfig(scales=tuple(np.array([1, 2])))
+        assert grad3d_loss(p, p, cfg).inplane_per_scale == {1: 0.0, 2: 0.0}
+
 
 class TestVerticalCdf:
     def test_identical_is_step_at_zero(self):

@@ -44,7 +44,7 @@ from radiofront import ordering
 from radiofront.grids import RadioField, RxConfig, UNIT_DB, ValidationError
 from radiofront.ordering import (
     NO_PRED,
-    _group_by_source,
+    _edge_list,
     _patch_graph,
     _relax_bellman_ford,
     _relax_frontier,
@@ -87,13 +87,9 @@ def floyd_warshall_costs(scene, patches, params):
     return np.min(initial.d[:, None] + dist, axis=0)
 
 
-def relax_dijkstra(d0, s, t, w):
+def relax_dijkstra(d0, nbr, w):
     """Independent oracle: heapq Dijkstra from every patch's direct-path cost."""
-    # CSR adjacency over the directed edges
-    order = np.argsort(s, kind="stable")
-    nbr = t[order].tolist()
-    wgt = w[order].tolist()
-    starts = np.searchsorted(s[order], np.arange(len(d0) + 1)).tolist()
+    nbr, w = nbr.tolist(), w.tolist()
     d = d0.tolist()
     heap = [(di, i) for i, di in enumerate(d)]
     heapq.heapify(heap)
@@ -102,9 +98,8 @@ def relax_dijkstra(d0, s, t, w):
         di, i = heapq.heappop(heap)
         if di > d[i]:
             continue
-        for e in range(starts[i], starts[i + 1]):
-            j = nbr[e]
-            nd = di + wgt[e]
+        for j, wij in zip(nbr[i], w[i]):
+            nd = di + wij
             if nd < d[j]:
                 d[j] = nd
                 heapq.heappush(heap, (nd, j))
@@ -276,6 +271,25 @@ class TestPatchGridFit:
         with pytest.raises(ValidationError, match="patch grid z must be finite"):
             PatchGrid(8, 8, 1.0, z)
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [(-5.0, 0.5), (0.5, -5.0), (-5.0, -5.0), (100.0, 100.0), (8.0, 0.5), (0.5, 8.0),
+         (float("inf"), 0.5), (0.5, -float("inf")), (float("nan"), 0.5)],
+    )
+    def test_point_off_the_grid_is_refused(self, x, y):
+        with pytest.raises(ValidationError, match=re.escape(f"point ({x!r}, {y!r}) lies outside")):
+            PatchGrid(4, 2, 1.0, 1.5).patch_of(x, y)
+
+    def test_point_just_inside_the_far_edge_is_in_the_last_patch(self):
+        pg = PatchGrid(4, 2, 1.0, 1.5)
+        assert pg.patch_of(0.0, 0.0) == 0
+        assert pg.patch_of(np.nextafter(8.0, 0), np.nextafter(8.0, 0)) == 3
+        # 3.5 - 1 ulp divided by the 0.7 m patch rounds up to 5.0
+        pg = PatchGrid(1, 5, 0.7, 1.5)
+        x = np.nextafter(3.5, 0)
+        assert int(x / pg.patch_len) == 5
+        assert pg.patch_of(x, x) == 24
+
     def test_fitting_grid_is_accepted(self):
         sc = flat_scene(side_px=64, tx=(4.0, 12.0))
         order, _ = wavefront_order(sc, PatchGrid(8, 8, 1.0, 1.5))
@@ -402,6 +416,33 @@ class TestPatchGraphCache:
         assert np.array_equal(pickle.loads(before[0]).values, hm.values)
 
 
+class TestStencil:
+    @pytest.mark.parametrize("n_side", [1, 2, 3, 4, 5])
+    def test_every_edge_appears_once_from_each_end(self, n_side):
+        src, dst, nbr, edge = _edge_list(n_side)
+        n = n_side * n_side
+        r, c = np.divmod(np.arange(n), n_side)
+        adjacent = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if max(abs(r[i] - r[j]), abs(c[i] - c[j])) == 1
+        ]
+        assert sorted(zip(src.tolist(), dst.tolist())) == adjacent
+        assert nbr.shape == edge.shape == (n, 8)
+        hops = [(i, j, e) for i in range(n) for j, e in zip(nbr[i].tolist(), edge[i].tolist())]
+        # every edge once from each end, and an off-grid slot points at its own patch
+        both_ends = [(s, t, k) for k, (s, t) in enumerate(zip(src.tolist(), dst.tolist()))]
+        both_ends += [(t, s, k) for s, t, k in both_ends]
+        assert sorted(h for h in hops if h[2] != -1) == sorted(both_ends)
+        assert all(j == i for i, j, e in hops if e == -1)
+
+    @pytest.mark.parametrize("patch_px", [4, 8, 32, 256])
+    def test_held_graph_stays_under_256_bytes_per_patch(self, patch_px):
+        sc = flat_scene(side_px=256, tx=(4.0, 12.0))
+        pg = PatchGrid.for_scene(sc, patch_px)
+        graph = _patch_graph(sc.heightmap, pg)
+        assert sum(a.nbytes for a in vars(graph).values()) <= 256 * pg.n_patches
+
+
 class TestFrontierRelaxation:
     @settings(max_examples=60, phases=(Phase.explicit, Phase.generate))
     @given(
@@ -416,17 +457,43 @@ class TestFrontierRelaxation:
         params = OrderParams(alpha_nlos=alpha)
         initial = init_costs(sc, pg, params)
         graph = _patch_graph(sc.heightmap, pg)
-        s, t, w = graph.s, graph.t, edge_weights(sc, pg, params)[2][graph.edge]
-        d = _relax_frontier(initial.d, s, t, w, graph.first, graph.degree)
-        pred = _tight_predecessors(d, initial, s, t, w)
-        p = np.random.default_rng(shuffle).permutation(len(s))
-        s, t, w = s[p], t[p], w[p]
-        # the frontier needs its edges grouped by source: regroup the shuffled
-        # edges stably, which keeps each group in shuffled order
-        g, first, degree = _group_by_source(s, pg.n_patches)
-        assert np.array_equal(_relax_frontier(initial.d, s[g], t[g], w[g], first, degree), d)
-        assert np.array_equal(_tight_predecessors(d, initial, s, t, w), pred)
-        assert np.array_equal(_relax_bellman_ford(initial.d, s, t, w), d)
+        nbr, w = graph.nbr, np.append(edge_weights(sc, pg, params)[2], np.inf)[graph.edge]
+        d = _relax_frontier(initial.d, nbr, w)
+        pred = _tight_predecessors(d, initial, nbr, w)
+        # shuffle the hops within each row of the stencil
+        p = np.argsort(np.random.default_rng(shuffle).random(nbr.shape), axis=1)
+        nbr, w = np.take_along_axis(nbr, p, axis=1), np.take_along_axis(w, p, axis=1)
+        assert np.array_equal(_relax_frontier(initial.d, nbr, w), d)
+        assert np.array_equal(_tight_predecessors(d, initial, nbr, w), pred)
+        assert np.array_equal(_relax_bellman_ford(initial.d, nbr, w), d)
+
+    @settings(max_examples=150, phases=(Phase.explicit, Phase.generate))
+    @given(data=st.data(), n_side=st.integers(1, 5))
+    def test_predecessor_rule_on_integer_costs(self, data, n_side):
+        # integer costs sum exactly, so ties between routes, between tight
+        # neighbours and with the direct cost are common
+        src, dst, nbr, edge = _edge_list(n_side)
+        n = n_side * n_side
+        w = np.array(data.draw(st.lists(st.integers(1, 3), min_size=len(src), max_size=len(src))), float)
+        d0 = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), float)
+        source = data.draw(st.integers(0, n - 1))
+        d0[source] = 0.0
+        initial = CostField(d0, np.where(np.arange(n) == source, NO_PRED, source), source)
+        hops = list(zip(np.r_[src, dst].tolist(), np.r_[dst, src].tolist(), np.r_[w, w].tolist()))
+        # the oracle relaxes and applies the rule over the undirected edge list
+        d = d0.tolist()
+        for _ in range(n):
+            for s, t, wst in hops:
+                d[t] = min(d[t], d[s] + wst)
+        expected = initial.pred.copy()
+        for i in range(n):
+            tight = [(d[s], s) for s, t, wst in hops if t == i and d[s] + wst == d[i]]
+            if d[i] < d0[i]:
+                expected[i] = min(tight)[1]
+        stencil_w = np.append(w, np.inf)[edge]
+        got = _relax_frontier(d0, nbr, stencil_w)
+        assert np.array_equal(got, d)
+        assert np.array_equal(_tight_predecessors(got, initial, nbr, stencil_w), expected)
 
     @pytest.mark.parametrize(
         "name, side_px", [("edge", 256), ("canyon", 256), ("sparse", 256), ("serpentine", 192)]

@@ -341,7 +341,7 @@ class TestBlockageReference:
         scene = random_city(7, side_px=256)
         h = scene.heightmap
         centers = PatchGrid.for_scene(scene, patch_px).centers()
-        src, dst = _edge_list(256 // patch_px)
+        src, dst, _, _ = _edge_list(256 // patch_px)
         init = (np.broadcast_to(scene.tx.position, centers.shape), centers)
         for a, b in (init, (centers[src], centers[dst])):
             assert np.array_equal(
@@ -664,6 +664,19 @@ class TestFarRays:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert blockage_ratio_batch(heights, 1.0, a, b)[0] == 1.0
+
+    @pytest.mark.parametrize("b_z", [1.5, 2.0], ids=["level", "sloped"])
+    def test_far_ray_on_a_fine_map_overflows_into_the_edge_pixel(self, b_z):
+        # 1e306 m at 2**-10 m per pixel overflows to inf, which clips to the
+        # last column, a 10 m wall
+        res = 2.0**-10
+        heights = np.zeros((4, 64))
+        heights[:, 63] = 10.0
+        a = np.array([[1e306, 0.5 * res, 1.5]])
+        b = np.array([[1e306, 3.5 * res, b_z]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert blockage_ratio_batch(heights, res, a, b)[0] == 1.0
 
 
 class TestBlockageMemory:
