@@ -91,7 +91,12 @@ def step_entropy(logits, base2: bool = False) -> float:
 
 @dataclass(frozen=True)
 class LogitTrace:
-    """Per-step decoder logits; step n targets patch order.perm[n]."""
+    """Per-step decoder logits; step n targets patch order.perm[n].
+
+    The trace keeps its own read-only float64 copy of the logits, and holds
+    its step entropies in nats from the first request on (n_steps float64,
+    kept out of ==, repr and pickle).
+    """
 
     logits: np.ndarray  # (n_steps, vocab)
     order: OrderPi | None = None
@@ -99,7 +104,8 @@ class LogitTrace:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
+        # an own copy: writing to the caller's array cannot change the logits or the held entropies
+        logits = np.array(self.logits, dtype=np.float64)
         if logits.ndim != 2 or 0 in logits.shape:
             raise ValidationError("trace logits must be (n_steps, vocab) with both >= 1")
         if not np.all(np.isfinite(logits)):
@@ -117,8 +123,18 @@ class LogitTrace:
     def vocab(self) -> int:
         return self.logits.shape[1]
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_nats"}
+
     def step_entropies(self, base2: bool = False) -> np.ndarray:
-        return _entropies(self.logits, base2)
+        """Softmax entropy of each step, as a fresh array; the nats are computed once per trace."""
+        nats = self.__dict__.get("_nats")
+        if nats is None:
+            nats = _entropies(self.logits, False)
+            nats.setflags(write=False)
+            object.__setattr__(self, "_nats", nats)  # threads that race store equal arrays
+        # the same single division per element as _entropies(logits, True) makes
+        return nats / LN2 if base2 else nats.copy()
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,8 @@ class JointDist:
             raise ValidationError("joint needs at least one variable")
         if len(set(probs.shape)) != 1:
             raise ValidationError("all variables must share one alphabet size")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("joint has NaN or infinite probabilities")
         if np.any(probs < 0):
             raise ValidationError("joint has negative probabilities")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -222,7 +240,11 @@ def _cond_entropy(m1: np.ndarray) -> float:
 
 def _step_conditionals(joint: JointDist, order, k: int) -> list[float]:
     """H(x_order[n] | the last k tokens before step n) for each step n."""
-    order = [int(i) for i in (order.perm if isinstance(order, OrderPi) else order)]
+    order = list(order.perm if isinstance(order, OrderPi) else order)
+    for i in order:
+        if not isinstance(i, (int, np.integer)):
+            raise ValidationError(f"order entries must be integers, got {i!r}")
+    order = [int(i) for i in order]
     if sorted(order) != list(range(joint.n_vars)):
         raise ValidationError("order is not a permutation of the variables")
     return [_cond_entropy(joint.marginal(tuple(order[max(0, n - k): n + 1])))
@@ -245,6 +267,8 @@ def limited_context_entropy(joint: JointDist, order, k: int) -> float:
     under the true conditional is averaged over steps.  k >= n_vars - 1
     recovers the mean of exact_conditional_entropies.
     """
+    if not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"context length k must be an integer, got {k!r}")
     if k < 0:
         raise ValidationError("context length k must be >= 0")
     total = 0.0

@@ -261,11 +261,19 @@ def denormalize_db(
     return RadioField(v, UNIT_DB, fld.resolution)
 
 
-def atomic_write(path: str | Path, data: bytes | str) -> None:
-    """Write data to a sibling temp file, then rename it over path."""
+def atomic_write(path: str | Path, data) -> None:
+    """Write data to a sibling temp file, then rename it over path.
+
+    data is bytes, str (written as UTF-8) or a sequence of buffers written
+    one after another, so an array reaches the file without a joined copy.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    if isinstance(data, (bytes, str)):
+        data = [data.encode() if isinstance(data, str) else data]
+    with open(tmp, "wb") as fh:
+        for chunk in data:
+            fh.write(chunk)
     tmp.replace(path)
 
 
@@ -285,7 +293,7 @@ def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) ->
     """
     header = np.array([f for f in fields if isinstance(f, float)])
     with np.errstate(over="ignore"):
-        payload = values.astype("<f4")
+        payload = values.astype("<f4", order="C")
         header32 = header.astype("<f4")
     if not np.isfinite(payload).all():
         raise ValidationError(f"{path}: a value lies beyond the float32 range (+-3.4e38)")
@@ -293,12 +301,16 @@ def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) ->
     if not fits.all():
         bad = float(header[~fits][0])
         raise ValidationError(f"{path}: header value {bad!r} does not fit float32")
-    atomic_write(path, magic + struct.pack(fmt, *fields) + payload.tobytes())
+    atomic_write(path, [magic + struct.pack(fmt, *fields), payload])
 
 
 def read_container(path: str | Path, magic: bytes, fmt: str, shape) -> tuple[tuple, np.ndarray]:
-    """Header fields and float64 payload of a write_container file; shape maps
-    the fields to the payload's shape, which the file length must match."""
+    """Header fields and payload of a write_container file; shape maps the
+    fields to the payload's shape, which the file length must match.
+
+    The payload is a read-only <f4 view of the file's bytes: the grid or
+    trace built from it converts it to float64 in its one copy.
+    """
     raw = Path(path).read_bytes()
     size = 4 + struct.calcsize(fmt)
     if len(raw) < size:
@@ -310,8 +322,7 @@ def read_container(path: str | Path, magic: bytes, fmt: str, shape) -> tuple[tup
     n = 4 * math.prod(dims)
     if len(raw) != size + n:
         raise GridFormatError(f"{path}: payload length {len(raw) - size} bytes, expected {n}")
-    values = np.frombuffer(raw, dtype="<f4", offset=size).astype(np.float64)
-    return fields, values.reshape(dims)
+    return fields, np.frombuffer(raw, dtype="<f4", offset=size).reshape(dims)
 
 
 def _volume(grid: HeightMap | RadioField) -> tuple[str, np.ndarray]:

@@ -1,7 +1,10 @@
 """Step entropy, profiles, delta-H maps, and exact joint-distribution tools."""
 
 import math
+import pickle
 import re
+import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -31,7 +34,7 @@ from radiofront import (
     wavefront_order,
 )
 from radiofront import entropy
-from radiofront.entropy import _BLOCK_LOGITS, LN2, _cond_entropy
+from radiofront.entropy import _BLOCK_LOGITS, LN2, _cond_entropy, _entropies
 from radiofront.ordering import CostField
 
 
@@ -137,6 +140,8 @@ class TestStepEntropiesOracle:
             z = laid_out(big, n, vocab, layout)
             trace = LogitTrace(z)
             expected = np.array([step_entropy_oracle(row, base2) for row in z])
+            # the trace holds a copy, so only the direct call sees z's own layout
+            assert np.array_equal(_entropies(z, base2), expected)
             assert np.array_equal(trace.step_entropies(base2), expected)
             assert np.array_equal(entropies_reference(z, base2), expected)
             assert step_entropy(z[-1], base2) == expected[-1]
@@ -155,6 +160,7 @@ class TestStepEntropiesOracle:
             big = rng.normal(scale=rng.uniform(0.1, 20.0), size=(2 * n, 3 * vocab))
             z = laid_out(big, n, vocab, layout)
             expected = entropies_reference(z, base2)
+            assert np.array_equal(_entropies(z, base2), expected)
             assert np.array_equal(LogitTrace(z).step_entropies(base2), expected)
             assert np.array_equal(expected, [step_entropy_oracle(row, base2) for row in z])
 
@@ -171,8 +177,10 @@ class TestStepEntropiesOracle:
         z = laid_out(rng.normal(scale=scale, size=(2 * n, 3 * vocab)), n, vocab, layout)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy, "_BLOCK_LOGITS", block)
+            direct = _entropies(z, base2)
             h = LogitTrace(z).step_entropies(base2)
-        assert np.array_equal(h, entropies_reference(z, base2))
+        expected = entropies_reference(z, base2)
+        assert np.array_equal(direct, expected) and np.array_equal(h, expected)
 
 
 class TestOverflowingRowRange:
@@ -235,6 +243,94 @@ class TestStepEntropiesMemory:
             tracemalloc.stop()
         # a whole-array pass holds two (n, vocab) float64 temporaries: 64 MB here
         assert peak <= 3 * n * 8 + 4 * _BLOCK_LOGITS * 8 < 2 << 20
+
+
+class TestHeldEntropies:
+    """A trace computes its step entropies once; every request gets the same bits in a fresh array."""
+
+    @staticmethod
+    def logits(seed=43, shape=(37, 53)):
+        return np.random.default_rng(seed).normal(scale=4.0, size=shape)
+
+    def test_kernel_runs_once_per_trace(self, monkeypatch):
+        calls = []
+
+        def spy(logits, base2):
+            calls.append(base2)
+            return _entropies(logits, base2)
+
+        traces = [LogitTrace(self.logits(seed, (16, 12)), raster_order(4)) for seed in range(4)]
+        monkeypatch.setattr(entropy, "_entropies", spy)
+        entropy_profile(traces)
+        delta_h_map(traces[0], traces[1])
+        entropy_profile(traces, base2=True)
+        assert calls == [False] * 4
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_held_results_equal_a_fresh_trace(self, first):
+        z = self.logits()
+        trace = LogitTrace(z)
+        trace.step_entropies(first)
+        for base2 in (False, True, first):
+            h = trace.step_entropies(base2)
+            assert np.array_equal(h, LogitTrace(z.copy()).step_entropies(base2))
+            assert np.array_equal(h, _entropies(z, base2))
+
+    @pytest.mark.parametrize("base2", [False, True])
+    def test_returned_arrays_are_fresh(self, base2):
+        z = self.logits()
+        trace = LogitTrace(z)
+        h = trace.step_entropies(base2)
+        assert h.flags.writeable
+        h[:] = -1.0
+        assert np.array_equal(trace.step_entropies(base2), _entropies(z, base2))
+        assert trace.step_entropies(base2) is not trace.step_entropies(base2)
+
+    def test_equality_repr_and_pickle_are_unchanged(self):
+        trace = LogitTrace(self.logits(shape=(9, 5)), raster_order(3))
+        twin = LogitTrace(self.logits(shape=(9, 5)), raster_order(3))
+        before = pickle.dumps(trace), repr(trace), trace == twin, twin == trace
+        trace.step_entropies()
+        assert (pickle.dumps(trace), repr(trace), trace == twin, twin == trace) == before
+        back = pickle.loads(before[0])
+        assert back == trace
+        assert np.array_equal(back.step_entropies(), trace.step_entropies())
+
+    def test_the_callers_array_stays_its_own(self):
+        z = self.logits(shape=(4, 6))
+        trace = LogitTrace(z)
+        h = trace.step_entropies()
+        z[0, 0] = 50.0
+        assert z.flags.writeable
+        assert np.array_equal(trace.logits, self.logits(shape=(4, 6)))
+        assert np.array_equal(trace.step_entropies(), h)
+
+    def test_writing_the_base_of_a_view_changes_nothing(self):
+        big = self.logits(shape=(4, 6))
+        trace = LogitTrace(big[:2])
+        big[0, 0] = 50.0
+        assert big.flags.writeable
+        assert np.array_equal(trace.logits, self.logits(shape=(4, 6))[:2])
+        assert np.array_equal(trace.step_entropies(), _entropies(self.logits(shape=(4, 6))[:2], False))
+
+    def test_two_threads_get_equal_results(self):
+        z = self.logits(shape=(256, 512))
+        trace = LogitTrace(z)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def work(i):
+            start.wait()
+            results[i] = trace.step_entropies(bool(i)), trace.step_entropies()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        expected = _entropies(z, False)
+        assert np.array_equal(results[0][0], expected) and np.array_equal(results[1][1], expected)
+        assert np.array_equal(results[0][1], expected) and np.array_equal(results[1][0], _entropies(z, True))
 
 
 def uniform_block_logits(n_steps, vocab, active):
@@ -329,6 +425,42 @@ class TestExactConditionalEntropies:
             totals.append(exact_conditional_entropies(joint, order).sum())
         assert max(totals) - min(totals) < 1e-9
         assert totals[0] == pytest.approx(joint.entropy(), abs=1e-9)
+
+
+class TestExactInputChecks:
+    """Non-finite probabilities, and orders or k that are not integers, are refused by name."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_joint_refuses_non_finite_probabilities(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            JointDist(np.array([[bad, 0.5], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "order, bad",
+        [([0, 1.7, 2], 1.7), ([0.0, 1.0, 2.0], 0.0), (["0", "1", "2"], "0"),
+         (np.array([0.0, 1.0, 2.0]), np.float64(0.0))],
+        ids=["fraction", "whole-floats", "strings", "float-array"],
+    )
+    @pytest.mark.parametrize("call", [
+        exact_conditional_entropies, lambda j, o: limited_context_entropy(j, o, 1),
+    ], ids=["exact", "limited"])
+    def test_order_entries_must_be_integers(self, call, order, bad):
+        joint = random_joint(np.random.default_rng(47), 3)
+        with pytest.raises(ValidationError, match=re.escape(f"order entries must be integers, got {bad!r}")):
+            call(joint, order)
+
+    @pytest.mark.parametrize("k", [1.5, np.float64(2.0), "1", None])
+    def test_k_must_be_an_integer(self, k):
+        joint = random_joint(np.random.default_rng(53), 3)
+        with pytest.raises(ValidationError, match=re.escape(f"k must be an integer, got {k!r}")):
+            limited_context_entropy(joint, [0, 1, 2], k)
+
+    def test_numpy_integers_are_accepted(self):
+        joint = random_joint(np.random.default_rng(59), 3)
+        order = np.array([2, 0, 1], dtype=np.int32)
+        assert np.array_equal(exact_conditional_entropies(joint, order),
+                              exact_conditional_entropies(joint, [2, 0, 1]))
+        assert limited_context_entropy(joint, order, np.int64(1)) == limited_context_entropy(joint, [2, 0, 1], 1)
 
 
 class TestLimitedContext:
@@ -431,6 +563,30 @@ class TestTraceIO:
             save_trace(trace, tmp_path / f"t{i}.ltr")
             back = load_trace(tmp_path / f"t{i}.ltr")
             assert np.array_equal(back.logits, trace.logits)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_file_bytes(self, tmp_path, layout):
+        rng = np.random.default_rng(61)
+        big = rng.normal(size=(12, 21)).astype(np.float32).astype(np.float64)
+        z = laid_out(big, 6, 7, layout)
+        save_trace(LogitTrace(z), tmp_path / "t.ltr")
+        golden = b"LTR1" + struct.pack("<II", 6, 7) + z.astype("<f4").tobytes()
+        assert (tmp_path / "t.ltr").read_bytes() == golden
+
+    def test_load_peak_is_the_file_plus_one_copy(self, tmp_path):
+        logits = np.random.default_rng(67).normal(size=(1024, 1024)).astype(np.float32).astype(np.float64)
+        p = tmp_path / "big.ltr"
+        save_trace(LogitTrace(logits), p)
+        tracemalloc.start()
+        try:
+            back = load_trace(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.logits, logits)
+        # the file's bytes, the float64 logits, the finite check's bool mask and 64 KB;
+        # a second float64 copy would add 8 MB
+        assert peak <= p.stat().st_size + logits.nbytes + logits.size + (1 << 16)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_trace_without_steps_or_vocab(self, tmp_path, shape):

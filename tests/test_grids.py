@@ -89,6 +89,39 @@ class TestRgf1RoundTrip:
         save_grid(HeightMap([[25.0]], 1.0), tmp_path / "one.rgf")
         assert (tmp_path / "one.rgf").stat().st_size == 25
 
+    @pytest.mark.parametrize("layout", ["C", "strided"])
+    def test_file_bytes(self, tmp_path, layout):
+        # magic, packed header, then the values as <f4 in C order, whatever the layout held
+        rng = np.random.default_rng(12)
+        big = rng.uniform(-169, -47, size=(3, 10, 14)).astype(np.float32).astype(np.float64)
+        values = big if layout == "C" else big[:, ::2, ::3]
+        d, h, w = values.shape
+        cases = [
+            (RadioField(values, UNIT_DB, 0.5), struct.pack("<BIIIf", 1, w, h, d, 0.5), values),
+            (HeightMap(values[0] + 200.0, 2.0), struct.pack("<BIIIf", 0, w, h, 1, 2.0), values[0] + 200.0),
+        ]
+        for grid, header, expected in cases:
+            save_grid(grid, tmp_path / "g.rgf")
+            golden = b"RGF1" + header + np.asarray(expected, dtype="<f4").tobytes()
+            assert (tmp_path / "g.rgf").read_bytes() == golden
+
+    @pytest.mark.parametrize("unit", [UNIT_METERS, UNIT_DB])
+    def test_load_peak_is_the_file_plus_one_copy(self, tmp_path, unit):
+        values = np.random.default_rng(13).uniform(1, 40, size=(1024, 1024)).astype(np.float32).astype(np.float64)
+        grid = HeightMap(values, 1.0) if unit == UNIT_METERS else RadioField(-values, unit)
+        p = tmp_path / "big.rgf"
+        save_grid(grid, p)
+        tracemalloc.start()
+        try:
+            back = load_grid(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, grid.values)
+        # the file's bytes, the float64 values, the finite check's bool mask and 64 KB;
+        # a second float64 copy would add 8 MB
+        assert peak <= p.stat().st_size + values.nbytes + values.size + (1 << 16)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.rgf"
         p.write_bytes(b"NOPE" + bytes(21))
@@ -431,4 +464,11 @@ class TestAtomicWrite:
         p.write_text("old contents")
         atomic_write(p, data)
         assert (p.read_bytes() if isinstance(data, bytes) else p.read_text()) == data
+        assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_writes_a_sequence_of_buffers_in_turn(self, tmp_path):
+        p = tmp_path / "out.bin"
+        payload = np.arange(6, dtype="<f4").reshape(2, 3)
+        atomic_write(p, [b"HEAD", payload, memoryview(b"!")])
+        assert p.read_bytes() == b"HEAD" + payload.tobytes() + b"!"
         assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
