@@ -327,7 +327,8 @@ class TestHeldEntropies:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         expected = _entropies(z, False)
         assert np.array_equal(results[0][0], expected) and np.array_equal(results[1][1], expected)
         assert np.array_equal(results[0][1], expected) and np.array_equal(results[1][0], _entropies(z, True))
