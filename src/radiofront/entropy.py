@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError, _fields_equal, read_container, write_container
+from .grids import GridFormatError, ValidationError, _fields_equal, _held, _without_held, read_container, write_container
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
@@ -102,6 +102,7 @@ class LogitTrace:
     order: OrderPi | None = None
 
     __eq__ = _fields_equal
+    __getstate__ = _without_held
 
     def __post_init__(self):
         # an own copy: writing to the caller's array cannot change the logits or the held entropies
@@ -110,6 +111,8 @@ class LogitTrace:
             raise ValidationError("trace logits must be (n_steps, vocab) with both >= 1")
         if not np.all(np.isfinite(logits)):
             raise ValidationError("trace contains NaN or infinite logits")
+        if not (self.order is None or isinstance(self.order, OrderPi)):
+            raise ValidationError(f"trace order must be an OrderPi or None, got {type(self.order).__name__}")
         if self.order is not None and len(self.order) != logits.shape[0]:
             raise ValidationError("trace length does not match its order")
         logits.setflags(write=False)
@@ -123,16 +126,9 @@ class LogitTrace:
     def vocab(self) -> int:
         return self.logits.shape[1]
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_nats"}
-
     def step_entropies(self, base2: bool = False) -> np.ndarray:
-        """Softmax entropy of each step, as a fresh array; the nats are computed once per trace."""
-        nats = self.__dict__.get("_nats")
-        if nats is None:
-            nats = _entropies(self.logits, False)
-            nats.setflags(write=False)
-            object.__setattr__(self, "_nats", nats)  # threads that race store equal arrays
+        """Softmax entropy of each step, as a fresh array; the nats are a held result of the trace."""
+        nats = _held(self, "nats", lambda: _entropies(self.logits, False))
         # the same single division per element as _entropies(logits, True) makes
         return nats / LN2 if base2 else nats.copy()
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import threading
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -78,6 +79,37 @@ def _fields_equal(self, other) -> bool:
     return True
 
 
+# Held results: values derived from an immutable owner, computed once and kept
+# in the owner's __dict__ under _HELD, so they live and die with it.
+_HELD = "_held"
+_held_lock = threading.Lock()
+
+
+def _held(owner, key, build, cap=None):
+    """owner's held value for key, from build() on the first request.
+
+    A hit makes key the most recently used; past cap keys, the least
+    recently used is dropped.  build runs outside the lock: two callers that
+    miss at once may each build the value, and both get the one stored first.
+    """
+    with _held_lock:
+        store = owner.__dict__.setdefault(_HELD, {})
+        if key in store:
+            store[key] = value = store.pop(key)
+            return value
+    value = build()
+    with _held_lock:
+        value = store.setdefault(key, value)
+        while cap is not None and len(store) > cap:
+            del store[next(iter(store))]
+    return value
+
+
+def _without_held(self):
+    """`__getstate__` of an owner of held results: pickle, copy and deepcopy leave them out."""
+    return {k: v for k, v in self.__dict__.items() if k != _HELD}
+
+
 @dataclass(frozen=True)
 class HeightMap:
     """2D grid of building heights in meters; the source of all blockage."""
@@ -86,9 +118,10 @@ class HeightMap:
     resolution: float  # meters per pixel
 
     __eq__ = _fields_equal
+    __getstate__ = _without_held
 
     def __post_init__(self):
-        # an own copy: a view of the caller's array could change under a held anchor volume
+        # an own copy: a view of the caller's array could change under a held result
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValidationError("height map must be 2D")
@@ -156,8 +189,8 @@ class RxConfig:
         for name in ("z_rx", "dz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"rx parameter {name} must be finite")
-        if self.n_z < 1:
-            raise ValidationError("n_z must be >= 1")
+        if not isinstance(self.n_z, (int, np.integer)) or self.n_z < 1:
+            raise ValidationError(f"n_z must be an integer >= 1, got {self.n_z!r}")
         if self.n_z > 1 and not self.dz > 0:
             raise ValidationError("dz must be positive when n_z > 1")
 
@@ -215,7 +248,13 @@ class Scene:
     tx: TxConfig
     rx: RxConfig = field(default_factory=RxConfig)
 
+    __getstate__ = _without_held
+
     def __post_init__(self):
+        for name, kind in (("heightmap", HeightMap), ("tx", TxConfig), ("rx", RxConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"scene {name} must be a {kind.__name__}, got {type(value).__name__}")
         x_max, y_max = self.heightmap.extent
         if not (0 <= self.tx.x < x_max and 0 <= self.tx.y < y_max):
             raise ValidationError(

@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, _fields_equal, atomic_write, write_table
+from .grids import HeightMap, RadioField, Scene, ValidationError, _fields_equal, _held, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -282,37 +280,15 @@ class _PatchGraph:
         return cls(*arrays)
 
 
-# Patch graphs of the live height maps: id(map) -> {PatchGrid: graph}, least
-# recently used first.  A map's entry is dropped when the map is collected.
 # A graph takes about 253 bytes per patch (32 per undirected edge, 128 for the
 # stencil), so a map holds at most _GRAPHS_PER_MAP x 253 x N bytes: 4.1 MB for
 # grids of N = 4096 (a 256^2 map at patch_px 4), 66 MB at N = 65,536 (patch_px 1).
 _GRAPHS_PER_MAP = 4
-_graphs: dict[int, dict[PatchGrid, _PatchGraph]] = {}
-_graphs_lock = threading.Lock()
 
 
 def _patch_graph(h: HeightMap, patches: PatchGrid) -> _PatchGraph:
-    """The held graph of this map object and patch grid, built on first use."""
-    key = id(h)
-    with _graphs_lock:
-        held = _graphs.get(key)
-        if held is None:
-            held = _graphs[key] = {}
-            # the callback is one dict pop, atomic without the lock: a
-            # collection inside a locked block would deadlock on the lock
-            weakref.finalize(h, _graphs.pop, key, None)
-        graph = held.pop(patches, None)
-        if graph is not None:
-            held[patches] = graph
-            return graph
-    # built outside the lock: two callers may each build the same, equal graph
-    graph = _PatchGraph.build(h, patches)
-    with _graphs_lock:
-        held[patches] = graph
-        while len(held) > _GRAPHS_PER_MAP:
-            del held[next(iter(held))]
-    return graph
+    """The graph of this map object and patch grid, held by the map."""
+    return _held(h, patches, lambda: _PatchGraph.build(h, patches), _GRAPHS_PER_MAP)
 
 
 def init_costs(scene: Scene, patches: PatchGrid, params: OrderParams | None = None) -> CostField:
@@ -591,7 +567,7 @@ def save_order(order: OrderPi, path: str | Path) -> None:
     doc = {
         "kind": order.kind,
         "np": order.n_side,
-        "perm": [int(i) for i in order.perm],
+        "perm": order.perm.tolist(),
         "params": order.params,
     }
     atomic_write(path, json.dumps(doc, indent=None, separators=(",", ":")))

@@ -7,13 +7,12 @@ so free-space loss is negative and deeper loss means a more negative number.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError
+from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _held
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
@@ -504,31 +503,12 @@ def anchor_map(scene: Scene, z: float | None = None) -> RadioField:
     return _anchor_slices(scene, [scene.rx.z_rx if z is None else z])
 
 
-# (weak reference to a scene, its anchor volume): the last volume computed,
-# dropped by the reference's callback when its scene is collected
-_volume_cache: tuple[weakref.ref, RadioField] | None = None
-
-
-def _forget_volume(ref: weakref.ref) -> None:
-    global _volume_cache
-    entry = _volume_cache
-    if entry is not None and entry[0] is ref:
-        _volume_cache = None
-
-
 def anchor_volume(scene: Scene) -> RadioField:
     """Anchor evaluated at every receiver slice height (n_z channels).
 
-    Computed once per live scene object: calling again with the same Scene
-    (as gen_field and its caller do) returns the same read-only field.  At
-    most one volume is held, that of the last scene asked for, and it is
-    dropped when that scene is collected.  Scenes are frozen and their
-    height maps own read-only copies, so a held volume cannot go stale.
+    A held result of the scene: calling again with the same Scene (as
+    gen_field and its caller do) returns the same read-only field.  Scenes
+    are frozen and their height maps own read-only copies, so a held volume
+    cannot go stale.
     """
-    global _volume_cache
-    entry = _volume_cache  # one read, so a concurrent replace can only cost a recompute
-    if entry is not None and entry[0]() is scene:
-        return entry[1]
-    volume = _anchor_slices(scene, scene.rx.slice_heights())
-    _volume_cache = (weakref.ref(scene, _forget_volume), volume)
-    return volume
+    return _held(scene, "anchor_volume", lambda: _anchor_slices(scene, scene.rx.slice_heights()))

@@ -395,6 +395,11 @@ class TestDeltaHMap:
         dh = delta_h_map(t_a, t_b)
         assert np.allclose(dh.grid, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], np.arange(4), "raster", 4])
+    def test_order_must_be_an_order_or_none(self, order):
+        with pytest.raises(ValidationError, match=f"trace order must be an OrderPi or None, got {type(order).__name__}"):
+            LogitTrace(np.zeros((4, 3)), order)
+
     def test_grid_mismatch(self):
         t_a = LogitTrace(np.zeros((9, 4)), raster_order(3))
         t_b = LogitTrace(np.zeros((4, 4)), raster_order(2))

@@ -1,5 +1,8 @@
 """Grid types, RGF1 round-trips, transmitter rasterization, normalization."""
 
+import copy
+import dataclasses
+import pickle
 import re
 import struct
 import tracemalloc
@@ -14,6 +17,7 @@ from radiofront import (
     HeightMap,
     LogitTrace,
     OrderPi,
+    PatchGrid,
     RadioField,
     RxConfig,
     Scene,
@@ -22,6 +26,7 @@ from radiofront import (
     UNIT_METERS,
     UNIT_NORM01,
     ValidationError,
+    anchor_volume,
     denormalize_db,
     grid_from_csv,
     grid_to_csv,
@@ -29,10 +34,12 @@ from radiofront import (
     load_trace,
     normalize_db,
     rasterize_tx,
+    raster_order,
     save_grid,
     save_trace,
+    wavefront_order,
 )
-from radiofront.grids import atomic_write
+from radiofront.grids import _HELD, atomic_write
 
 
 def random_grid(rng):
@@ -239,6 +246,24 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             RxConfig(n_z=0)
 
+    @pytest.mark.parametrize("n_z", [0, -2, 2.5, 3.0, np.nan, np.float64(2.0), "3", None])
+    def test_n_z_must_be_an_integer_of_at_least_one(self, n_z):
+        with pytest.raises(ValidationError, match=re.escape(f"n_z must be an integer >= 1, got {n_z!r}")):
+            RxConfig(n_z=n_z)
+
+    def test_n_z_may_be_a_numpy_integer(self):
+        assert np.array_equal(RxConfig(n_z=np.int64(3)).slice_heights(), RxConfig(n_z=3).slice_heights())
+
+    @pytest.mark.parametrize(
+        "slot, bad", [(0, np.zeros((4, 4))), (1, (1.5, 1.5)), (2, "x"), (2, None)], ids=["heightmap", "tx", "rx", "rx-none"]
+    )
+    def test_scene_fields_must_have_their_types(self, slot, bad):
+        args = [HeightMap(np.zeros((4, 4)), 1.0), TxConfig(1.5, 1.5), RxConfig()]
+        name, kind = [("heightmap", "HeightMap"), ("tx", "TxConfig"), ("rx", "RxConfig")][slot]
+        args[slot] = bad
+        with pytest.raises(ValidationError, match=f"scene {name} must be a {kind}, got {type(bad).__name__}"):
+            Scene(*args)
+
 
 # each type's three variants: a base, one with another array, one with another non-array field
 EQUALITY_CASES = {
@@ -282,6 +307,32 @@ class TestEquality:
     def test_array_shape_matters(self):
         assert HeightMap(np.zeros((2, 3)), 1.0) != HeightMap(np.zeros((3, 2)), 1.0)
         assert RadioField(np.zeros((1, 2, 2)), UNIT_DB) == RadioField(np.zeros((2, 2)), UNIT_DB)
+
+
+def holding(name):
+    """A fresh owner of the named type, and the same call on it that holds a derived result."""
+    if name == "LogitTrace":
+        return LogitTrace(np.arange(12.0).reshape(4, 3), raster_order(2)), lambda t: t.step_entropies()
+    scene = Scene(HeightMap(np.eye(16) * 3.0, 1.0), TxConfig(2.5, 3.5), RxConfig(n_z=2))
+    if name == "Scene":
+        return scene, anchor_volume
+    return scene.heightmap, lambda h: wavefront_order(scene, PatchGrid.for_scene(scene, 4))
+
+
+class TestHeldResults:
+    """A held result lives in its owner's __dict__ only; every copy of the owner starts without it."""
+
+    @pytest.mark.parametrize("name", ["HeightMap", "Scene", "LogitTrace"])
+    def test_copies_carry_no_held_value(self, name):
+        owner, hold = holding(name)
+        twin, _ = holding(name)
+        hold(owner)
+        assert owner.__dict__[_HELD]
+        assert pickle.dumps(owner) == pickle.dumps(twin)
+        assert repr(owner) == repr(twin) and owner == twin
+        for other in (pickle.loads(pickle.dumps(owner)), copy.copy(owner), copy.deepcopy(owner), dataclasses.replace(owner)):
+            assert other == owner
+            assert _HELD not in other.__dict__
 
 
 class TestRasterizeTx:

@@ -41,7 +41,7 @@ from radiofront import (
     zcurve_order,
 )
 from radiofront import ordering
-from radiofront.grids import RadioField, RxConfig, UNIT_DB, ValidationError
+from radiofront.grids import _HELD, RadioField, RxConfig, UNIT_DB, ValidationError
 from radiofront.ordering import (
     NO_PRED,
     _edge_list,
@@ -315,6 +315,11 @@ def fresh_copy(scene):
     return Scene(HeightMap(h.values, h.resolution), scene.tx, scene.rx)
 
 
+def held_graphs(h):
+    """The patch graphs a height map holds, by patch grid, least recently used first."""
+    return h.__dict__.get(_HELD, {})
+
+
 def eq_outcome(a, b):
     try:
         return a == b
@@ -355,8 +360,8 @@ class TestPatchGraphCache:
                 assert np.array_equal(c1.pred, c2.pred)
                 b1, b2 = bruteforce_costs(sc, pg, params), bruteforce_costs(cold, pg, params)
                 assert np.array_equal(b1.d, b2.d) and np.array_equal(b1.pred, b2.pred)
-        # every sweep read the graphs held for the base map: one per patch grid
-        assert len(ordering._graphs[id(base.heightmap)]) == 4
+        # every sweep read the graphs held by the base map: one per patch grid
+        assert len(held_graphs(base.heightmap)) == 4
 
     def test_returned_weights_are_read_only(self):
         sc = self.city()
@@ -369,8 +374,8 @@ class TestPatchGraphCache:
         grids = [PatchGrid.for_scene(sc, p) for p in (1, 2, 4, 8, 16, 32)]
         for pg in grids:
             wavefront_order(sc, pg)
-            assert len(ordering._graphs[id(sc.heightmap)]) <= ordering._GRAPHS_PER_MAP
-        held = ordering._graphs[id(sc.heightmap)]
+            assert len(held_graphs(sc.heightmap)) <= ordering._GRAPHS_PER_MAP
+        held = held_graphs(sc.heightmap)
         assert list(held) == grids[-ordering._GRAPHS_PER_MAP:]
         # a hit makes its grid the last one evicted
         wavefront_order(sc, grids[-4])
@@ -379,18 +384,20 @@ class TestPatchGraphCache:
 
     def test_graphs_are_dropped_with_their_map(self):
         sc = self.city()
-        wavefront_order(sc, PatchGrid.for_scene(sc, 8))
-        key, hm = id(sc.heightmap), weakref.ref(sc.heightmap)
+        pg = PatchGrid.for_scene(sc, 8)
+        wavefront_order(sc, pg)
+        graph, hm = weakref.ref(held_graphs(sc.heightmap)[pg]), weakref.ref(sc.heightmap)
         gc.collect()
-        assert key in ordering._graphs
+        assert graph() is not None
         del sc
         gc.collect()
         assert hm() is None
-        assert key not in ordering._graphs
+        assert graph() is None
 
     def test_two_threads_on_one_map_agree(self):
         sc = self.city(seed=7)
-        tasks = [(x, px) for x in (5.5, 20.5, 33.5, 50.5, 61.5) for px in (4, 8)] * 2
+        # more patch sizes than the cap, so the threads also race on evictions
+        tasks = [(x, px) for x in (5.5, 20.5, 33.5, 50.5, 61.5) for px in (2, 4, 8, 16, 32)] * 2
         cold = fresh_copy(sc)
 
         def solve(task, scene):
@@ -411,7 +418,7 @@ class TestPatchGraphCache:
         twin = HeightMap(hm.values, hm.resolution)
         before = pickle.dumps(hm), repr(hm), eq_outcome(hm, twin), eq_outcome(hm, hm)
         wavefront_order(sc, PatchGrid.for_scene(sc, 8))
-        assert id(hm) in ordering._graphs
+        assert held_graphs(hm)
         assert (pickle.dumps(hm), repr(hm), eq_outcome(hm, twin), eq_outcome(hm, hm)) == before
         assert np.array_equal(pickle.loads(before[0]).values, hm.values)
 
@@ -822,6 +829,10 @@ class TestOrderFiles:
         assert np.array_equal(back.perm, order.perm)
         assert back.kind == order.kind
         assert back.params == order.params
+
+    def test_file_bytes(self, tmp_path):
+        save_order(OrderPi(np.array([2, 0, 3, 1], dtype=np.int32), "custom", {"step": 2}), tmp_path / "o.json")
+        assert (tmp_path / "o.json").read_bytes() == b'{"kind":"custom","np":2,"perm":[2,0,3,1],"params":{"step":2}}'
 
     def test_bijection_enforced(self):
         with pytest.raises(Exception):

@@ -771,6 +771,14 @@ class TestAnchorVolumeCache:
             assert np.array_equal(anchor_volume(a).values, cold_a)
             assert np.array_equal(anchor_volume(b).values, cold_b)
 
+    def test_alternating_live_scenes_cast_one_fan_each(self, monkeypatch):
+        calls = count_casts(monkeypatch)
+        a, b = self.scene(seed=2), self.scene(seed=3)
+        for _ in range(2):
+            anchor_volume(a)
+            anchor_volume(b)
+        assert calls == [a, b]
+
     def test_threads_sharing_the_cache_each_get_their_own_volume(self):
         scenes = [flat_scene(side=8, tx=(k + 0.5, 2.5)).with_tx(z=float(k)) for k in range(4)]
         colds = [propagation._anchor_slices(sc, sc.rx.slice_heights()).values for sc in scenes]
@@ -782,7 +790,7 @@ class TestAnchorVolumeCache:
             for _ in range(100):
                 if not np.array_equal(anchor_volume(scenes[k]).values, colds[k]):
                     wrong.append(k)
-                time.sleep(0)  # yield, so the threads take turns and keep replacing the entry
+                time.sleep(0)  # yield, so the threads take turns on the one lock that guards held results
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
