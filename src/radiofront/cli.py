@@ -35,6 +35,7 @@ from .grids import (
     UNIT_DB,
     UNIT_METERS,
     ValidationError,
+    _check,
     atomic_write,
     denormalize_db,
     grid_from_csv,
@@ -321,14 +322,8 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
     atomic_write(out_dir / "scene.txt", text + "\n")
 
 
-def _check_at_least(flag: str, value: int, lo: int) -> None:
-    if value < lo:
-        raise ValidationError(f"{flag} must be >= {lo}, got {value}")
-
-
 def cmd_synth(args) -> int:
-    _check_at_least("--count", args.count, 1)
-    _check_at_least("--jobs", args.jobs, 1)
+    _check("an integer >= 1", **{"--count": args.count, "--jobs": args.jobs})
     base = Path(args.out_dir)
     jobs = [(args.seed + k, base / f"scene_{k:03d}" if args.count > 1 else base)
             for k in range(args.count)]
@@ -391,7 +386,7 @@ def _suite_rope(rng) -> None:
 
 
 def cmd_selftest(args) -> int:
-    _check_at_least("--seed", args.seed, 0)  # numpy seeds from non-negative integers only
+    _check("an integer >= 0", **{"--seed": args.seed})  # numpy seeds from non-negative integers only
     suites = {
         "ordering": _suite_ordering,
         "entropy": _suite_entropy,

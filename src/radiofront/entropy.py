@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError, _fields_equal, _held, _without_held, read_container, write_container
+from .grids import GridFormatError, ValidationError, _check, _fields_equal, _held, _without_held, read_container, write_container
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
@@ -237,9 +237,7 @@ def _cond_entropy(m1: np.ndarray) -> float:
 def _step_conditionals(joint: JointDist, order, k: int) -> list[float]:
     """H(x_order[n] | the last k tokens before step n) for each step n."""
     order = list(order.perm if isinstance(order, OrderPi) else order)
-    for i in order:
-        if not isinstance(i, (int, np.integer)):
-            raise ValidationError(f"order entries must be integers, got {i!r}")
+    _check("an integer >= 0", **{f"order[{n}]": i for n, i in enumerate(order)})
     order = [int(i) for i in order]
     if sorted(order) != list(range(joint.n_vars)):
         raise ValidationError("order is not a permutation of the variables")
@@ -263,10 +261,7 @@ def limited_context_entropy(joint: JointDist, order, k: int) -> float:
     under the true conditional is averaged over steps.  k >= n_vars - 1
     recovers the mean of exact_conditional_entropies.
     """
-    if not isinstance(k, (int, np.integer)):
-        raise ValidationError(f"context length k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValidationError("context length k must be >= 0")
+    _check("an integer >= 0", k=k)
     total = 0.0
     for h in _step_conditionals(joint, order, k):
         total += h  # left to right: sum() compensates from Python 3.12 on

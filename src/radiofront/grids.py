@@ -26,6 +26,7 @@ import struct
 import threading
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +54,42 @@ class GridFormatError(ValidationError):
     """A grid or trace file that does not hold a valid grid or trace."""
 
 
+def _finite(value) -> bool:
+    """The one number rule: a numbers.Real that is not a bool, NaN or infinite.
+
+    So a 0-d array, a string or None is not a number; numpy scalars are.
+    """
+    return isinstance(value, Real) and not isinstance(value, bool) and (
+        isinstance(value, Integral) or math.isfinite(value)
+    )
+
+
+_RULES = {
+    "finite": _finite,
+    "finite and > 0": lambda v: _finite(v) and v > 0,
+    "finite and >= 0": lambda v: _finite(v) and v >= 0,
+    "an integer >= 1": lambda v: _finite(v) and isinstance(v, Integral) and v >= 1,
+    "an integer >= 0": lambda v: _finite(v) and isinstance(v, Integral) and v >= 0,
+}
+
+
+def _check(rule: str, **values) -> None:
+    """Refuse the first value that breaks rule, a key of _RULES, naming it.
+
+    The ValidationError reads '<name> must be <rule>, got <value!r>'.
+    """
+    for name, value in values.items():
+        if not _RULES[rule](value):
+            raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
 def _check_grid(values: np.ndarray, resolution: float, what: str) -> None:
     """At least one cell, every value finite, a finite positive resolution."""
     if values.size == 0:
         raise ValidationError(f"{what} has no cells")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{what} contains NaN or infinite values")
-    if not 0 < resolution < math.inf:
-        raise ValidationError("resolution must be finite and positive")
+    _check("finite and > 0", resolution=resolution)
 
 
 def _fields_equal(self, other) -> bool:
@@ -159,18 +188,9 @@ class TxConfig:
     d0: float = 1.0  # near-field reference distance, meters
 
     def __post_init__(self):
-        if not self.f > 0:
-            raise ValidationError("carrier frequency must be positive")
-        if not self.w > 0:
-            raise ValidationError("bandwidth must be positive")
-        if not self.d0 > 0:
-            raise ValidationError("reference distance d0 must be positive")
-        if self.z < 0:
-            raise ValidationError("transmitter height must be >= 0")
-        for name in ("x", "y", "z", "f", "p_tx", "w", "nf", "d0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationError(f"tx parameter {name} must be finite")
+        _check("finite", x=self.x, y=self.y, p_tx=self.p_tx, nf=self.nf)
+        _check("finite and >= 0", z=self.z)
+        _check("finite and > 0", f=self.f, w=self.w, d0=self.d0)
 
     @property
     def position(self) -> np.ndarray:
@@ -186,13 +206,10 @@ class RxConfig:
     dz: float = 1.0  # slice spacing, meters
 
     def __post_init__(self):
-        for name in ("z_rx", "dz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"rx parameter {name} must be finite")
-        if not isinstance(self.n_z, (int, np.integer)) or self.n_z < 1:
-            raise ValidationError(f"n_z must be an integer >= 1, got {self.n_z!r}")
+        _check("finite", z_rx=self.z_rx, dz=self.dz)
+        _check("an integer >= 1", n_z=self.n_z)
         if self.n_z > 1 and not self.dz > 0:
-            raise ValidationError("dz must be positive when n_z > 1")
+            raise ValidationError(f"dz must be > 0 when n_z > 1, got {self.dz!r}")
 
     def slice_heights(self) -> np.ndarray:
         """z of each slice, centered on z_rx."""
@@ -280,6 +297,7 @@ def normalize_db(
     fld: RadioField, lo: float = NORM_LO_DB, hi: float = NORM_HI_DB
 ) -> RadioField:
     """Min-max map from dB to [0, 1]: lo -> 1, hi -> 0, clamped outside."""
+    _check("finite", lo=lo, hi=hi)
     if lo == hi:
         raise ValidationError("degenerate normalization range: lo == hi")
     if fld.unit != UNIT_DB:
@@ -292,6 +310,7 @@ def denormalize_db(
     fld: RadioField, lo: float = NORM_LO_DB, hi: float = NORM_HI_DB
 ) -> RadioField:
     """Inverse of normalize_db within the clamp range."""
+    _check("finite", lo=lo, hi=hi)
     if lo == hi:
         raise ValidationError("degenerate normalization range: lo == hi")
     if fld.unit != UNIT_NORM01:

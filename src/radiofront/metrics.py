@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import shannon_entropy
-from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, normalize_db
+from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, _check, normalize_db
 
 
 def _values(fld, expect_unit: str | None = None, what: str = "field") -> np.ndarray:
@@ -150,10 +150,10 @@ class GradLossConfig:
     lambda_z: float = 0.5
 
     def __post_init__(self):
-        if not self.scales or any(not isinstance(s, (int, np.integer)) or s < 1 for s in self.scales):
-            raise ValidationError(f"scales must be non-empty integers >= 1, got {self.scales!r}")
-        if not 0 <= self.lambda_z < math.inf:
-            raise ValidationError(f"lambda_z must be finite and >= 0, got {self.lambda_z!r}")
+        if not self.scales:
+            raise ValidationError(f"scales must be non-empty, got {self.scales!r}")
+        _check("an integer >= 1", **{f"scales[{i}]": s for i, s in enumerate(self.scales)})
+        _check("finite and >= 0", lambda_z=self.lambda_z)
 
 
 @dataclass(frozen=True)

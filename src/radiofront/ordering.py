@@ -26,13 +26,12 @@ the predecessor-containment verifier.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, _fields_equal, _held, atomic_write, write_table
+from .grids import HeightMap, RadioField, Scene, ValidationError, _check, _fields_equal, _held, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -69,22 +68,16 @@ class PatchGrid:
     z: float
 
     def __post_init__(self):
-        if self.patch_px < 1 or self.n_side < 1:
-            raise ValidationError("patch_px and n_side must be >= 1")
-        if not 0 < self.resolution < math.inf:
-            raise ValidationError(
-                f"patch grid resolution must be finite and > 0, got {self.resolution!r}"
-            )
-        if not math.isfinite(self.z):
-            raise ValidationError(f"patch grid z must be finite, got {self.z!r}")
+        _check("an integer >= 1", patch_px=self.patch_px, n_side=self.n_side)
+        _check("finite and > 0", resolution=self.resolution)
+        _check("finite", z=self.z)
 
     @classmethod
     def for_scene(cls, scene: Scene, patch_px: int = 16) -> "PatchGrid":
         h = scene.heightmap
         if h.width_px != h.height_px:
             raise ValidationError("patch grid requires a square map")
-        if patch_px < 1:
-            raise ValidationError(f"patch_px must be >= 1, got {patch_px}")
+        _check("an integer >= 1", patch_px=patch_px)
         if h.width_px % patch_px != 0:
             raise ValidationError(
                 f"patch_px {patch_px} does not divide map side {h.width_px}"
@@ -129,10 +122,10 @@ class OrderParams:
     beta_clamp: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha_los < 0 or self.alpha_nlos < 0:
-            raise ValidationError("blockage exponents must be >= 0")
-        if not 0 < self.beta_clamp < 1:
-            raise ValidationError("beta_clamp must lie in (0, 1)")
+        _check("finite and >= 0", alpha_los=self.alpha_los, alpha_nlos=self.alpha_nlos)
+        _check("finite and > 0", beta_clamp=self.beta_clamp)
+        if not self.beta_clamp < 1:
+            raise ValidationError(f"beta_clamp must lie in (0, 1), got {self.beta_clamp!r}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,8 @@ class CostField:
         n = len(self.d)
         if len(self.pred) != n or np.any((self.pred < NO_PRED) | (self.pred >= n)):
             raise ValidationError(f"pred must hold {n} entries, each {NO_PRED} or in [0, {n})")
-        if not 0 <= self.source < n:
+        _check("an integer >= 0", source=self.source)
+        if not self.source < n:
             raise ValidationError(f"source {self.source} outside [0, {n})")
 
 
@@ -171,8 +165,12 @@ class OrderPi:
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
+        if perm.ndim != 1:
+            raise ValidationError(f"perm must be 1-D, got {self.perm!r}")
         if self.kind not in ORDER_KINDS:
             raise ValidationError(f"unknown order kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"params must be a dict, got {self.params!r}")
         if not np.array_equal(np.sort(perm), np.arange(len(perm))):
             raise ValidationError("order is not a bijection on {0..N-1}")
         perm.setflags(write=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _held
+from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _check, _held
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
@@ -50,8 +50,7 @@ class LinkBudget:
     l_thr: float
 
     def __post_init__(self):
-        if not math.isfinite(self.l_thr):
-            raise ValidationError("link threshold must be finite")
+        _check("finite", l_thr=self.l_thr)
 
 
 def link_threshold(tx: TxConfig) -> LinkBudget:
@@ -443,8 +442,7 @@ def blockage_ratio_batch(
     """
     if np.ndim(heights) != 2:
         raise ValueError(f"heights must be a 2-D map, got shape {np.shape(heights)}")
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
+    _check("finite and > 0", resolution=resolution)
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import ValidationError, _check
+
 
 def split_axis_dims(d: int) -> tuple[int, int, int]:
     """Near-even split of the head dim into even (d_x, d_y, d_z).
@@ -34,16 +36,14 @@ class RopeConfig:
     theta_base: float = 10000.0
 
     def __post_init__(self):
-        if self.head_dim % 2 or self.head_dim < 2:
-            raise ValueError("head_dim must be an even integer >= 2")
-        if len(self.axis_dims) != 3 or any(a < 2 or a % 2 for a in self.axis_dims):
-            raise ValueError("axis dims must be three even integers >= 2")
+        _check("an integer >= 1", head_dim=self.head_dim, **{f"axis_dims[{i}]": a for i, a in enumerate(self.axis_dims)})
+        if len(self.axis_dims) != 3 or any(a % 2 for a in self.axis_dims):
+            raise ValidationError(f"axis_dims must be three even integers, got {self.axis_dims!r}")
         if sum(self.axis_dims) != self.head_dim:
-            raise ValueError(
+            raise ValidationError(
                 f"axis dims {self.axis_dims} do not sum to head_dim {self.head_dim}"
             )
-        if not self.theta_base > 0:
-            raise ValueError("theta_base must be positive")
+        _check("finite and > 0", theta_base=self.theta_base)
 
     @classmethod
     def from_head_dim(cls, d: int, theta_base: float = 10000.0) -> "RopeConfig":

@@ -10,12 +10,11 @@ transmitter behind obstacle rows, an urban canyon, and sparse obstacles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError
+from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError, _check
 from .metrics import _windowed_mean
 from .propagation import anchor_volume
 
@@ -37,12 +36,6 @@ class GenerationError(ValueError):
     """Placement could not satisfy the constraints within bounded retries."""
 
 
-def _check_seed(seed: int) -> None:
-    """numpy seeds its generators from non-negative integers only."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class CityParams:
     side_px: int = 256
@@ -53,17 +46,15 @@ class CityParams:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.side_px < 1 or self.resolution <= 0:
-            raise ValueError("side_px must be >= 1 and resolution positive")
-        lo, hi = self.height_range
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad height range {self.height_range}")
-        flo, fhi = self.footprint_range
-        if flo < 1 or fhi < flo or fhi > self.side_px:
-            raise ValueError(f"bad footprint range {self.footprint_range}")
-        if self.n_buildings < 0:
-            raise ValueError("n_buildings must be >= 0")
+        (lo, hi), (flo, fhi) = self.height_range, self.footprint_range
+        _check("an integer >= 1", side_px=self.side_px, **{"footprint_range[0]": flo, "footprint_range[1]": fhi})
+        _check("an integer >= 0", n_buildings=self.n_buildings, seed=self.seed)
+        _check("finite and > 0", resolution=self.resolution)
+        _check("finite and >= 0", **{"height_range[0]": lo, "height_range[1]": hi})
+        if hi < lo:
+            raise ValidationError(f"bad height range {self.height_range}")
+        if fhi < flo or fhi > self.side_px:
+            raise ValidationError(f"bad footprint range {self.footprint_range}")
 
 
 def dataset_profile(name: str, **overrides) -> CityParams:
@@ -148,20 +139,18 @@ def gen_field(
     """Pseudo ground truth: anchor map + smoothing + seeded dB noise.
 
     With noise_sigma=0 and smooth_sigma=0 the result is exactly the anchor
-    map at every receiver slice.  The anchor volume is anchor_volume's: it
-    is computed once per live scene object, at most one is held, and a later
+    map at every receiver slice.  The anchor volume is anchor_volume's, held
+    by the scene as README's held-results table states, so a later
     anchor_volume(scene) returns it without casting rays again.
     clamp=(top, bottom) clips to a dataset's pathloss range.  A negative or
     non-finite sigma raises ValidationError; it never switches its step off.
     So does a smooth_sigma whose kernel radius, int(4 * sigma + 0.5) px,
     exceeds the larger map side: a wider kernel only adds weight on
     replicated border pixels, while its padding grows with sigma squared.
-    A negative seed raises ValidationError too.
+    A seed that is not an integer >= 0 raises ValidationError too.
     """
-    _check_seed(seed)
-    for name, sigma in (("noise_sigma", noise_sigma), ("smooth_sigma", smooth_sigma)):
-        if not 0 <= sigma < math.inf:
-            raise ValidationError(f"{name} must be finite and >= 0, got {sigma!r}")
+    _check("an integer >= 0", seed=seed)
+    _check("finite and >= 0", noise_sigma=noise_sigma, smooth_sigma=smooth_sigma)
     side = max(scene.heightmap.height_px, scene.heightmap.width_px)
     if int(4 * smooth_sigma + 0.5) > side:
         raise ValidationError(
@@ -187,7 +176,7 @@ def _paint(heights: np.ndarray, r0: int, r1: int, c0: int, c1: int, h: float) ->
 
 
 def _check_preset(name: str, seed: int, side_px: int, min_side: int) -> None:
-    _check_seed(seed)
+    _check("an integer >= 0", seed=seed)
     if side_px < min_side:
         raise ValidationError(f"preset {name!r} needs side_px >= {min_side}, got {side_px}")
 

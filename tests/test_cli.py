@@ -301,7 +301,7 @@ class TestMetricsCommand:
         [
             (["--lambda-z", "nan"], "lambda_z must be finite and >= 0, got nan"),
             (["--lambda-z", "inf"], "lambda_z must be finite and >= 0, got inf"),
-            (["--scales", "0,2"], "scales must be non-empty integers >= 1, got (0, 2)"),
+            (["--scales", "0,2"], "scales[0] must be an integer >= 1, got 0"),
         ],
     )
     def test_bad_gradient_loss_value_is_named(self, tmp_path, capsys, flags, needle):
@@ -516,7 +516,7 @@ class TestReaderErrors:
              "error: bad: radio field has no cells"),
             (rgf1(0, np.zeros((1, 32, 32)), resolution=np.inf),
              ["order", "--heightmap", "bad", "--tx-x", "5.5", "--tx-y", "9.5", "--out", "o.json"],
-             "error: bad: resolution must be finite and positive"),
+             "error: bad: resolution must be finite and > 0, got inf"),
             (ltr1([[0.0, np.inf, 1.0]]), ["entropy", "--trace", "bad"],
              "error: bad: trace contains NaN or infinite logits"),
             (ltr1(np.zeros((0, 3))), ["entropy", "--trace", "bad"],
@@ -564,17 +564,17 @@ class TestReaderErrors:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (["--z-rx", "nan"], "rx parameter z_rx must be finite"),
-            (["--n-z", "3", "--dz", "inf"], "rx parameter dz must be finite"),
-            (["--seed=-1"], "seed must be >= 0, got -1"),
-            (["--preset", "edge", "--seed=-1"], "seed must be >= 0, got -1"),
+            (["--z-rx", "nan"], "z_rx must be finite, got nan"),
+            (["--n-z", "3", "--dz", "inf"], "dz must be finite, got inf"),
+            (["--seed=-1"], "seed must be an integer >= 0, got -1"),
+            (["--preset", "edge", "--seed=-1"], "seed must be an integer >= 0, got -1"),
             (["--preset", "edge", "--side-px", "1"], "preset 'edge' needs side_px >= 10, got 1"),
             (["--preset", "canyon", "--side-px", "6"], "preset 'canyon' needs side_px >= 16, got 6"),
             (["--preset", "sparse", "--side-px", "2"], "preset 'sparse' needs side_px >= 7, got 2"),
-            (["--count", "0"], "--count must be >= 1, got 0"),
-            (["--count", "-3"], "--count must be >= 1, got -3"),
-            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
-            (["--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["--count", "0"], "--count must be an integer >= 1, got 0"),
+            (["--count", "-3"], "--count must be an integer >= 1, got -3"),
+            (["--jobs", "0"], "--jobs must be an integer >= 1, got 0"),
+            (["--jobs", "-2"], "--jobs must be an integer >= 1, got -2"),
         ],
     )
     def test_synth_names_the_bad_value(self, tmp_path, capsys, flags, needle):
@@ -589,7 +589,7 @@ class TestReaderErrors:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (["--patch-px", "0"], "patch_px must be >= 1, got 0"),
+            (["--patch-px", "0"], "patch_px must be an integer >= 1, got 0"),
             (["--alpha-nlos", "1e300"], "blockage exponent 1e+300 with beta_clamp 1e-06 overflows"),
         ],
     )
@@ -671,7 +671,7 @@ class TestSelftestCommand:
         assert main(["selftest", "--seed=-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
 
     def test_injected_fault(self, capsys, monkeypatch):
         def broken(rng):

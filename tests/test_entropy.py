@@ -452,13 +452,13 @@ class TestExactInputChecks:
     ], ids=["exact", "limited"])
     def test_order_entries_must_be_integers(self, call, order, bad):
         joint = random_joint(np.random.default_rng(47), 3)
-        with pytest.raises(ValidationError, match=re.escape(f"order entries must be integers, got {bad!r}")):
+        with pytest.raises(ValidationError, match=r"order\[\d+\] must be an integer >= 0, got " + re.escape(repr(bad))):
             call(joint, order)
 
     @pytest.mark.parametrize("k", [1.5, np.float64(2.0), "1", None])
     def test_k_must_be_an_integer(self, k):
         joint = random_joint(np.random.default_rng(53), 3)
-        with pytest.raises(ValidationError, match=re.escape(f"k must be an integer, got {k!r}")):
+        with pytest.raises(ValidationError, match=re.escape(f"k must be an integer >= 0, got {k!r}")):
             limited_context_entropy(joint, [0, 1, 2], k)
 
     def test_numpy_integers_are_accepted(self):

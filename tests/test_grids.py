@@ -230,7 +230,7 @@ class TestInvariants:
     def test_rx_parameters_must_be_finite(self, name, value, n_z):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=f"rx parameter {name} must be finite"):
+            with pytest.raises(ValidationError, match=re.escape(f"{name} must be finite, got {value!r}")):
                 RxConfig(n_z=n_z, **{name: value})
 
     def test_height_map_copies_its_input(self):

@@ -236,10 +236,10 @@ class TestGrad3dLoss:
             ({"lambda_z": math.nan}, "lambda_z must be finite and >= 0, got nan"),
             ({"lambda_z": math.inf}, "lambda_z must be finite and >= 0, got inf"),
             ({"lambda_z": -1.0}, "lambda_z must be finite and >= 0, got -1.0"),
-            ({"scales": (1.5,)}, "scales must be non-empty integers >= 1, got (1.5,)"),
-            ({"scales": (1, 2.0)}, "scales must be non-empty integers >= 1, got (1, 2.0)"),
-            ({"scales": (0,)}, "scales must be non-empty integers >= 1, got (0,)"),
-            ({"scales": ()}, "scales must be non-empty integers >= 1, got ()"),
+            ({"scales": (1.5,)}, "scales[0] must be an integer >= 1, got 1.5"),
+            ({"scales": (1, 2.0)}, "scales[1] must be an integer >= 1, got 2.0"),
+            ({"scales": (0,)}, "scales[0] must be an integer >= 1, got 0"),
+            ({"scales": ()}, "scales must be non-empty, got ()"),
         ],
     )
     def test_bad_config_is_named(self, kwargs, needle):

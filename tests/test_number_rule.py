@@ -1,0 +1,141 @@
+"""The one number rule: every numeric field of a public constructor refuses a bad value by name.
+
+A number is a numbers.Real that is not a bool (numbers.Integral for the
+integer rules), so strings, None, bools and 0-d arrays are refused along with
+NaN, infinities and values below the rule's bound.  Each case builds one
+object, or runs one function, from one field's value with every other input
+valid (a field that is a tuple member is named like scales[1]); the property
+swaps in a value that breaks the field's rule.  The report dataclasses
+(MetricReport, CdfTable, EntropyProfile and the like) are outputs and hold no
+rule.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from radiofront import (
+    PRESETS,
+    UNIT_DB,
+    UNIT_NORM01,
+    CityParams,
+    CostField,
+    GradLossConfig,
+    HeightMap,
+    JointDist,
+    LinkBudget,
+    OrderParams,
+    PatchGrid,
+    RadioField,
+    RopeConfig,
+    RxConfig,
+    Scene,
+    TxConfig,
+    ValidationError,
+    blockage_ratio_batch,
+    denormalize_db,
+    gen_field,
+    limited_context_entropy,
+    normalize_db,
+)
+
+FINITE, POSITIVE, NON_NEGATIVE = "finite", "finite and > 0", "finite and >= 0"
+COUNT, INDEX = "an integer >= 1", "an integer >= 0"
+
+SCENE = Scene(HeightMap(np.zeros((8, 8)), 1.0), TxConfig(2.5, 3.5))
+DB = RadioField(np.full((2, 2), -80.0), UNIT_DB)
+JOINT = JointDist(np.full((2, 2, 2), 0.125))
+
+
+def fields_of(build, table):
+    """One case per (name, rule, valid value): build(**{name: value})."""
+    return [(name, rule, lambda v, name=name: build(**{name: v}), good) for name, rule, good in table]
+
+
+CASES = [
+    ("resolution", POSITIVE, lambda v: HeightMap(np.zeros((2, 2)), v), 0.5),
+    ("resolution", POSITIVE, lambda v: RadioField(np.zeros((2, 2)), UNIT_DB, v), 2.0),
+    *fields_of(lambda **kw: TxConfig(**{"x": 1.0, "y": 2.0, **kw}), [
+        ("x", FINITE, -1.0), ("y", FINITE, 0.5), ("z", NON_NEGATIVE, 0.0), ("f", POSITIVE, 2.0**32),
+        ("p_tx", FINITE, 20.0), ("w", POSITIVE, 1e6), ("nf", FINITE, -3.0), ("d0", POSITIVE, 0.5),
+    ]),
+    *fields_of(lambda **kw: RxConfig(**{"n_z": 3, **kw}), [
+        ("z_rx", FINITE, 1.5), ("n_z", COUNT, 2), ("dz", FINITE, 0.5),
+    ]),
+    *fields_of(lambda **kw: PatchGrid(**{"patch_px": 4, "n_side": 2, "resolution": 1.0, "z": 1.5, **kw}), [
+        ("patch_px", COUNT, 2), ("n_side", COUNT, 4), ("resolution", POSITIVE, 0.25), ("z", FINITE, -2.0),
+    ]),
+    ("patch_px", COUNT, lambda v: PatchGrid.for_scene(SCENE, v), 4),
+    *fields_of(OrderParams, [
+        ("alpha_los", NON_NEGATIVE, 0.0), ("alpha_nlos", NON_NEGATIVE, 3.0), ("beta_clamp", POSITIVE, 0.5),
+    ]),
+    ("source", INDEX, lambda v: CostField(np.arange(4.0), [-1, 0, 0, 0], v), 0),
+    ("l_thr", FINITE, LinkBudget, -120.0),
+    ("resolution", POSITIVE, lambda v: blockage_ratio_batch(np.zeros((4, 4)), v, [[0, 0, 1]], [[1, 1, 1]]), 0.5),
+    ("lambda_z", NON_NEGATIVE, lambda v: GradLossConfig(lambda_z=v), 0.25),
+    ("scales[1]", COUNT, lambda v: GradLossConfig(scales=(1, v)), 2),
+    *fields_of(lambda **kw: CityParams(**{"side_px": 16, "footprint_range": (2, 4), **kw}), [
+        ("side_px", COUNT, 8), ("resolution", POSITIVE, 0.5), ("n_buildings", INDEX, 0), ("seed", INDEX, 7),
+    ]),
+    ("height_range[0]", NON_NEGATIVE, lambda v: CityParams(height_range=(v, 20.0)), 0.0),
+    ("height_range[1]", NON_NEGATIVE, lambda v: CityParams(height_range=(0.0, v)), 8.0),
+    ("footprint_range[0]", COUNT, lambda v: CityParams(footprint_range=(v, 48)), 1),
+    ("footprint_range[1]", COUNT, lambda v: CityParams(footprint_range=(16, v)), 16),
+    *fields_of(lambda **kw: gen_field(SCENE, **kw), [
+        ("noise_sigma", NON_NEGATIVE, 0.5), ("smooth_sigma", NON_NEGATIVE, 0.5), ("seed", INDEX, 3),
+    ]),
+    *[("seed", INDEX, lambda v, preset=preset: preset(seed=v, side_px=24), 5) for preset in PRESETS.values()],
+    *fields_of(lambda **kw: RopeConfig(**{"head_dim": 6, "axis_dims": (2, 2, 2), **kw}), [
+        ("head_dim", COUNT, 6), ("theta_base", POSITIVE, 100.0),
+    ]),
+    ("axis_dims[1]", COUNT, lambda v: RopeConfig(8, (2, v, 2)), 4),
+    ("k", INDEX, lambda v: limited_context_entropy(JOINT, [0, 1, 2], v), 1),
+    ("order[2]", INDEX, lambda v: limited_context_entropy(JOINT, [2, 1, v], 1), 0),
+    *fields_of(lambda **kw: normalize_db(DB, **kw), [("lo", FINITE, -40.0), ("hi", FINITE, -160.0)]),
+    *fields_of(lambda **kw: denormalize_db(RadioField(np.ones((2, 2)), UNIT_NORM01), **kw), [
+        ("lo", FINITE, -40.0), ("hi", FINITE, -160.0),
+    ]),
+]
+IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(CASES)]
+
+# values no rule takes as a number, tried on every field
+NOT_A_NUMBER = [math.nan, math.inf, -math.inf, "1", None, True, False, np.True_, np.array(1.0)]
+# numbers outside each rule: a fixed table, then one drawn per example
+OUTSIDE = {
+    FINITE: [],
+    POSITIVE: [0, 0.0, -1.0],
+    NON_NEGATIVE: [-1, -1e-300],
+    # a float is no integer, whole or not
+    COUNT: [0, -1, 2.5, 2.0, np.float64(2.0)],
+    INDEX: [-1, 2.5, 2.0, np.float64(2.0)],
+}
+DRAWN = {
+    FINITE: st.sampled_from(NOT_A_NUMBER),
+    POSITIVE: st.floats(max_value=0.0, allow_infinity=False) | st.integers(max_value=0),
+    NON_NEGATIVE: st.floats(max_value=-5e-324, allow_infinity=False) | st.integers(max_value=-1),
+    COUNT: st.integers(max_value=0) | st.floats(),
+    INDEX: st.integers(max_value=-1) | st.floats(),
+}
+
+
+@pytest.mark.parametrize("name, rule, build, good", CASES, ids=IDS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_bad_number_is_refused_by_name(name, rule, build, good, data):
+    for bad in [*NOT_A_NUMBER, *OUTSIDE[rule], data.draw(DRAWN[rule], label=name)]:
+        with pytest.raises(ValidationError) as err:
+            build(bad)
+        assert str(err.value) == f"{name} must be {rule}, got {bad!r}"
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else bool(a == b)
+
+
+@pytest.mark.parametrize("name, rule, build, good", CASES, ids=IDS)
+def test_numpy_scalars_build_what_python_numbers_build(name, rule, build, good):
+    scalar = np.int64(good) if rule in (COUNT, INDEX) else np.float32(good)
+    assert same(build(scalar), build(scalar.item()))
+    assert same(build(good), build(scalar.item()))

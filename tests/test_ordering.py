@@ -222,7 +222,7 @@ class TestBadParameters:
 
     @pytest.mark.parametrize("patch_px", [0, -8])
     def test_patch_px_below_one_is_refused_before_dividing(self, patch_px):
-        with pytest.raises(ValidationError, match=f"patch_px must be >= 1, got {patch_px}"):
+        with pytest.raises(ValidationError, match=f"patch_px must be an integer >= 1, got {patch_px}"):
             PatchGrid.for_scene(wall_scene(), patch_px=patch_px)
 
     @pytest.mark.parametrize(
@@ -263,12 +263,12 @@ class TestPatchGridFit:
 
     @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_resolution_is_named(self, resolution):
-        with pytest.raises(ValidationError, match="patch grid resolution must be finite and > 0"):
+        with pytest.raises(ValidationError, match=re.escape(f"resolution must be finite and > 0, got {resolution!r}")):
             PatchGrid(8, 8, resolution, 1.5)
 
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_z_is_named(self, z):
-        with pytest.raises(ValidationError, match="patch grid z must be finite"):
+        with pytest.raises(ValidationError, match=re.escape(f"z must be finite, got {z!r}")):
             PatchGrid(8, 8, 1.0, z)
 
     @pytest.mark.parametrize(
@@ -761,7 +761,7 @@ class TestContainment:
             ([NO_PRED, 4, 0, 0], 0, "each -1 or in [0, 4)"),
             ([NO_PRED, 0, 0], 0, "pred must hold 4 entries"),
             ([NO_PRED, 0, 0, 0], 4, "source 4 outside [0, 4)"),
-            ([NO_PRED, 0, 0, 0], -1, "source -1 outside [0, 4)"),
+            ([NO_PRED, 0, 0, 0], -1, "source must be an integer >= 0, got -1"),
         ],
     )
     def test_pred_and_source_range_checked(self, pred, source, needle):
@@ -837,6 +837,27 @@ class TestOrderFiles:
     def test_bijection_enforced(self):
         with pytest.raises(Exception):
             OrderPi(np.array([0, 0, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "perm, params, needle",
+        [
+            (np.arange(4), "x", "params must be a dict, got 'x'"),
+            (np.arange(4), [("step", 2)], "params must be a dict, got [('step', 2)]"),
+            (True, {}, "perm must be 1-D, got True"),
+            (np.arange(4).reshape(2, 2), {}, "perm must be 1-D, got array([[0, 1],\n       [2, 3]])"),
+        ],
+    )
+    def test_perm_and_params_are_named(self, perm, params, needle):
+        with pytest.raises(ValidationError) as err:
+            OrderPi(perm, "custom", params)
+        assert str(err.value) == needle
+
+    def test_params_that_are_not_an_object_are_refused_on_load(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"kind":"raster","np":2,"perm":[0,1,2,3],"params":"x"}')
+        with pytest.raises(ValidationError) as err:
+            load_order(p)
+        assert str(err.value) == f"{p}: params must be a dict, got 'x'"
 
     @pytest.mark.parametrize(
         "text",

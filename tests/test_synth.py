@@ -89,7 +89,7 @@ class TestGenCity:
             gen_city(p)
 
     def test_negative_seed_is_named(self):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
             CityParams(seed=-1)
 
     def test_dataset_profiles(self):
@@ -133,7 +133,7 @@ class TestGenField:
             gen_field(self.scene(), **{name: sigma})
 
     def test_negative_seed_is_named(self):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -2"):
             gen_field(self.scene(), noise_sigma=1.0, seed=-2)
 
     @pytest.mark.parametrize("sigma", [8.2, 1e300])
@@ -295,7 +295,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("preset", [preset_edge_tx, preset_urban_canyon, preset_sparse, preset_serpentine])
     def test_negative_seed_is_named(self, preset):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -3"):
             preset(seed=-3)
 
     def test_serpentine_side_validation(self):
