@@ -452,7 +452,8 @@ class TestExactInputChecks:
     ], ids=["exact", "limited"])
     def test_order_entries_must_be_integers(self, call, order, bad):
         joint = random_joint(np.random.default_rng(47), 3)
-        with pytest.raises(ValidationError, match=r"order\[\d+\] must be an integer >= 0, got " + re.escape(repr(bad))):
+        needle = f"order[{list(order).index(bad)}] must be an integer >= 0, got {bad!r}"
+        with pytest.raises(ValidationError, match=re.escape(needle)):
             call(joint, order)
 
     @pytest.mark.parametrize("k", [1.5, np.float64(2.0), "1", None])
