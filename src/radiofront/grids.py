@@ -64,12 +64,24 @@ def _finite(value) -> bool:
     )
 
 
+def _length(value) -> int:
+    """len(value), or -1 for a value that has none."""
+    try:
+        return len(value)
+    except TypeError:
+        return -1
+
+
 _RULES = {
     "finite": _finite,
     "finite and > 0": lambda v: _finite(v) and v > 0,
     "finite and >= 0": lambda v: _finite(v) and v >= 0,
     "an integer >= 1": lambda v: _finite(v) and isinstance(v, Integral) and v >= 1,
     "an integer >= 0": lambda v: _finite(v) and isinstance(v, Integral) and v >= 0,
+    # the tuple fields, checked before their members are
+    "a pair": lambda v: _length(v) == 2,
+    "a triple": lambda v: _length(v) == 3,
+    "a non-empty sequence": lambda v: _length(v) > 0,
 }
 
 

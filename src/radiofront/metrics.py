@@ -150,8 +150,7 @@ class GradLossConfig:
     lambda_z: float = 0.5
 
     def __post_init__(self):
-        if not self.scales:
-            raise ValidationError(f"scales must be non-empty, got {self.scales!r}")
+        _check("a non-empty sequence", scales=self.scales)
         _check("an integer >= 1", **{f"scales[{i}]": s for i, s in enumerate(self.scales)})
         _check("finite and >= 0", lambda_z=self.lambda_z)
 

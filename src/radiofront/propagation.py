@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,6 +152,115 @@ def _rectangle_counts(table: np.ndarray, corners, out: np.ndarray, tmp: np.ndarr
     return out
 
 
+def _plan(heights: np.ndarray, resolution: float, a: np.ndarray, bx, by, bz) -> tuple:
+    """The call-wide part of _blockage, from its segments to the scratch sizes of its largest pass.
+
+    Returns (flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks,
+    level, occupied, tables, sizes).  order holds the member indices
+    ray * S + slice sorted by (K, ray, slice); group g owns members
+    order[bounds[g]:bounds[g + 1]], all with K group_k[g] on ray
+    group_ray[g].  occupied marks the roofs above z_lo on a call that is
+    level or builds tables, and is None otherwise.  tables is () on a call
+    with fewer samples than the map has pixels, and otherwise the
+    (clear, full) summed-area tables, one table twice on a level call.
+    sizes holds the entries of the largest pass's sample, member and run
+    blocks.
+    """
+    flat_heights = np.ravel(np.asarray(heights, dtype=np.float64))
+    ux = bx - a[:, 0]
+    uy = by - a[:, 1]
+    with np.errstate(over="ignore"):  # an overflow leaves an infinite length, which is reported
+        counts = _sample_counts(np.sqrt((ux * ux + uy * uy) + np.square(bz - a[:, 2])), resolution)
+    # the z of each member's first and last sample, from the kernel's own t * dz + oz
+    z_lo, z_hi = np.inf, -np.inf
+    for s in range(len(bz)):
+        dz = bz[s] - a[:, 2]
+        for t in (0.5 / counts[s], ((counts[s] - 1).astype(np.float64) + 0.5) / counts[s]):
+            t *= dz
+            t += a[:, 2]
+            z_lo, z_hi = t.min(initial=z_lo), t.max(initial=z_hi)
+    # the plan frees each temporary once it is done with it, so that the
+    # tables and the scratch reuse that heap: freed at the return instead,
+    # fans of 4,096 and 1,024 rays over a 256^2 map faulted in about 3 MB of
+    # fresh pages per pair of calls
+    del dz, t
+    counts = counts.T.ravel()
+    order = np.argsort(counts, kind="stable")  # member index ray * S + slice
+    counts = counts[order]
+    ray = order // len(bz)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (counts[1:] != counts[:-1]) | (ray[1:] != ray[:-1])
+    bounds = np.append(np.flatnonzero(first), len(order))
+    group_k = counts[bounds[:-1]]
+    group_ray = ray[bounds[:-1]]
+    del counts, ray, first
+    chunks = _chunks(bounds, group_k)
+
+    level = z_lo == z_hi
+    # a table costs about what sampling does per pixel, so a call with fewer
+    # samples than the map has pixels samples every run instead
+    decide = int(group_k.sum()) >= flat_heights.size
+    occupied = flat_heights > z_lo if level or decide else None
+    tables = (_summed_area(occupied.reshape(heights.shape)),) * 2 if decide else ()
+    if decide and not level:
+        over_hi = flat_heights > z_hi
+        level = np.count_nonzero(over_hi) == tables[0][-1]  # no roof in (z_lo, z_hi]
+        if not level:
+            tables = (tables[0], _summed_area(over_hi.reshape(heights.shape)))
+    # the four sample blocks first hold a pass's run edges (runs + 1 per
+    # group), then its undecided runs
+    group_size = member_size = run_size = 0
+    for g, e, width in chunks:
+        n_runs, run = _runs(width)
+        group_size = max(group_size, (e - g) * max(n_runs * run, n_runs + 1))
+        member_size = max(member_size, int(bounds[e] - bounds[g]) * n_runs * run)
+        run_size = max(run_size, (e - g) * n_runs)
+    sizes = (group_size, member_size, run_size)
+    return flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, sizes
+
+
+def _decide_runs(t, r, a, ux, uy, resolution: float, h_px: int, w_px: int, clear_table, full_table, buf):
+    """Stage 1 of _blockage: the clear and the full masks of a pass's (runs, groups) block.
+
+    t is the (runs + 1, groups) block of each run's first t, then the last
+    run's end; group j samples ray r[j], a[r[j]] + t * (ux, uy)[r[j]], on an
+    h_px x w_px map.  A run is clear when its rectangle holds no pixel of
+    clear_table, and full when every pixel of it is in full_table, which is
+    clear_table itself on a level call.  buf is _blockage's scratch, t's own
+    buffer among it: its t, pos, cols, cells, low_rows and high_rows are
+    spent on return, and the masks live in its clear and full.
+    """
+    shape = (len(t) - 1, t.shape[1])
+    pos = _rows(buf.pos, t.shape)
+    cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(buf.cols, t.shape))
+    rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(buf.cells, t.shape))
+    # each rectangle spans columns [left, right) and rows [top, bottom); t is spent
+    left = np.minimum(cols[:-1], cols[1:], out=_rows(buf.t.view(np.int64), shape))
+    right = np.maximum(cols[:-1], cols[1:], out=_rows(buf.pos.view(np.int64), shape))
+    right += 1
+    area = np.subtract(right, left, out=_rows(buf.cols, shape))  # cols is spent
+    top = np.minimum(rows[:-1], rows[1:], out=_rows(buf.low_rows, shape))
+    bottom = np.maximum(rows[:-1], rows[1:], out=_rows(buf.high_rows, shape))
+    bottom += 1
+    height = np.subtract(bottom, top, out=_rows(buf.cells, shape))  # rows is spent
+    area *= height
+    # corners in the (h + 1) x (w + 1) table, each made in place of a spent side
+    top *= w_px + 1
+    bottom *= w_px + 1
+    bottom_right = np.add(bottom, right, out=height)
+    right += top
+    bottom += left
+    left += top
+    corners = (bottom_right, right, bottom, left)
+    above = _rows(buf.count, shape)
+    tmp = _rows(buf.tmp_count, shape)
+    _rectangle_counts(clear_table, corners, above, tmp)
+    clear = np.equal(above, 0, out=_rows(buf.clear, shape))
+    if full_table is not clear_table:
+        _rectangle_counts(full_table, corners, above, tmp)
+    return clear, np.equal(above, area, out=_rows(buf.full, shape))
+
+
 def _blockage(
     heights: np.ndarray,
     resolution: float,
@@ -206,6 +316,13 @@ def _blockage(
     tallest-pixel rule keeps the level rule: a sample is then blocked when
     any pixel it touches has a roof above z_lo.
 
+    _plan owns everything decided once per call: the lengths and K, z_lo
+    and z_hi, the sorted members, groups and chunks, the level and no-table
+    rules, the tables and the scratch sizes; it frees its temporaries
+    before the tables and the scratch are allocated.  _decide_runs is stage
+    1, from a pass's run-edge t to its clear and full masks.  Stage 2,
+    sampling the runs left open, is the rest of the pass loop below.
+
     Special cases, each with what removing it cost in paired runs on a 2-core Xeon host:
     - a level call gathers from a bool map of roofs above z_lo: 12-19%;
     - a call with no roof in (z_lo, z_hi] is level, not only one with
@@ -219,75 +336,24 @@ def _blockage(
     """
     n_s, n_p = bz.shape
     h_px, w_px = heights.shape
-    if n_p == 0:
-        return np.empty((n_s, 0))
-    flat_heights = np.ravel(np.asarray(heights, dtype=np.float64))
-    ux = bx - a[:, 0]
-    uy = by - a[:, 1]
-    with np.errstate(over="ignore"):  # an overflow leaves an infinite length, which is reported
-        uz = bz - a[:, 2]
-        uz *= uz
-        lengths = np.sqrt((ux * ux + uy * uy) + uz)
-    counts = _sample_counts(lengths, resolution)
-    del uz, lengths
-    # the z of each member's first and last sample, from the kernel's own t * dz + oz
-    z_lo, z_hi = np.inf, -np.inf
-    for s in range(n_s):
-        dz = bz[s] - a[:, 2]
-        for t in (0.5 / counts[s], ((counts[s] - 1).astype(np.float64) + 0.5) / counts[s]):
-            t *= dz
-            t += a[:, 2]
-            z_lo, z_hi = min(z_lo, t.min()), max(z_hi, t.max())
-    del dz, t
-    counts = counts.T.ravel()
-    order = np.argsort(counts, kind="stable")  # member index ray * S + slice
-    counts = counts[order]
-    ray = order // n_s
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (counts[1:] != counts[:-1]) | (ray[1:] != ray[:-1])
-    bounds = np.append(np.flatnonzero(first), len(order))
-    group_k = counts[bounds[:-1]]
-    group_ray = ray[bounds[:-1]]
-    del counts, ray, first
-    chunks = _chunks(bounds, group_k)
-
-    level = z_lo == z_hi
-    # a table costs about what sampling does per pixel, so a call with fewer
-    # samples than the map has pixels samples every run instead
-    decide = int(group_k.sum()) >= h_px * w_px
-    if level or decide:
-        occupied = flat_heights > z_lo
-    if decide:
-        clear_table = full_table = _summed_area(occupied.reshape(h_px, w_px))
-        if not level:
-            over_hi = flat_heights > z_hi
-            level = np.count_nonzero(over_hi) == clear_table[-1]  # no roof in (z_lo, z_hi]
-            if not level:
-                full_table = _summed_area(over_hi.reshape(h_px, w_px))
-            del over_hi
+    plan = _plan(heights, resolution, a, bx, by, bz)
+    flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, sizes = plan
+    group_size, member_size, run_size = sizes
     # scratch sized for the largest chunk and reused by every pass, since
-    # fresh arrays would page-fault on each pass: the four sample blocks
-    # first hold a pass's run edges (runs + 1 per group), then its undecided
-    # runs; takes into them use mode="clip" because the default mode copies
-    # through a temporary
-    group_size = member_size = run_size = 0
-    for g, e, width in chunks:
-        n_runs, run = _runs(width)
-        group_size = max(group_size, (e - g) * max(n_runs * run, n_runs + 1))
-        member_size = max(member_size, int(bounds[e] - bounds[g]) * n_runs * run)
-        run_size = max(run_size, (e - g) * n_runs)
-    t_buf, pos_buf = (np.empty(group_size) for _ in range(2))
-    cols_buf, cells_buf = (np.empty(group_size, dtype=np.int64) for _ in range(2))
-    low_rows_buf = np.empty(run_size, dtype=np.int64)
-    open_buf = np.empty(run_size, dtype=bool)
-    if decide:
-        high_rows_buf = np.empty(run_size, dtype=np.int64)
-        count_buf, tmp_count_buf = (np.empty(run_size, dtype=clear_table.dtype) for _ in range(2))
-        clear_buf, full_buf = (np.empty(run_size, dtype=bool) for _ in range(2))
+    # fresh arrays would page-fault on each pass; takes into it use
+    # mode="clip" because the default mode copies through a temporary
+    buf = SimpleNamespace(t=np.empty(group_size), pos=np.empty(group_size))
+    buf.cols, buf.cells = (np.empty(group_size, dtype=np.int64) for _ in range(2))
+    buf.low_rows = np.empty(run_size, dtype=np.int64)
+    buf.open = np.empty(run_size, dtype=bool)
+    if tables:
+        buf.high_rows = np.empty(run_size, dtype=np.int64)
+        buf.count, buf.tmp_count = (np.empty(run_size, dtype=tables[0].dtype) for _ in range(2))
+        buf.clear, buf.full = (np.empty(run_size, dtype=bool) for _ in range(2))
     if not level:
         shared_size = member_size if len(group_k) < len(order) else 0
-        z_buf, roof_z_buf = (np.empty(shared_size) for _ in range(2))
-        below_buf = np.empty(member_size, dtype=bool)
+        buf.z, buf.roof_z = (np.empty(shared_size) for _ in range(2))
+        buf.below = np.empty(member_size, dtype=bool)
     beta = np.empty((n_s, n_p), dtype=np.float64)
     for g, e, width in chunks:
         k = group_k[g:e]
@@ -309,46 +375,18 @@ def _blockage(
             n_runs, run = _runs(n_steps)
 
             shape = (n_runs, len(k))
-            if decide:
+            if tables:
                 # 1. decide each run from the pixels of its first sample and the next run's
-                edge_shape = (n_runs + 1, len(k))
                 edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
-                t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(t_buf, edge_shape))
-                pos = _rows(pos_buf, edge_shape)
-                cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(cols_buf, edge_shape))
-                rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(cells_buf, edge_shape))
-                # each rectangle spans columns [left, right) and rows [top, bottom)
-                left = np.minimum(cols[:-1], cols[1:], out=_rows(t_buf.view(np.int64), shape))
-                right = np.maximum(cols[:-1], cols[1:], out=_rows(pos_buf.view(np.int64), shape))
-                right += 1
-                area = np.subtract(right, left, out=_rows(cols_buf, shape))  # cols is spent
-                top = np.minimum(rows[:-1], rows[1:], out=_rows(low_rows_buf, shape))
-                bottom = np.maximum(rows[:-1], rows[1:], out=_rows(high_rows_buf, shape))
-                bottom += 1
-                height = np.subtract(bottom, top, out=_rows(cells_buf, shape))  # rows is spent
-                area *= height
-                # corners in the (h + 1) x (w + 1) table, each made in place of a spent side
-                top *= w_px + 1
-                bottom *= w_px + 1
-                bottom_right = np.add(bottom, right, out=height)
-                right += top
-                bottom += left
-                left += top
-                corners = (bottom_right, right, bottom, left)
-                above = _rows(count_buf, shape)
-                tmp = _rows(tmp_count_buf, shape)
-                _rectangle_counts(clear_table, corners, above, tmp)
-                clear = np.equal(above, 0, out=_rows(clear_buf, shape))
-                if not level:
-                    _rectangle_counts(full_table, corners, above, tmp)
-                full = np.equal(above, area, out=_rows(full_buf, shape))
-            # samples of each run before its group's K and the pass's end (top is spent)
+                t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(buf.t, (n_runs + 1, len(k))))
+                clear, full = _decide_runs(t, r, a, ux, uy, resolution, h_px, w_px, *tables, buf)
+            # samples of each run before its group's K and the pass's end, in stage 1's spent low rows
             starts = k0 + run * np.arange(n_runs)
-            valid = np.subtract(np.minimum(k, k0 + n_steps), starts[:, np.newaxis], out=_rows(low_rows_buf, shape))
+            valid = np.subtract(np.minimum(k, k0 + n_steps), starts[:, np.newaxis], out=_rows(buf.low_rows, shape))
             np.clip(valid, 0, run, out=valid)
-            undecided = np.greater(valid, 0, out=_rows(open_buf, shape))
-            if decide:
-                blocked += np.multiply(valid, full, out=bottom).sum(axis=0)
+            undecided = np.greater(valid, 0, out=_rows(buf.open, shape))
+            if tables:
+                blocked += np.multiply(valid, full, out=_rows(buf.high_rows, shape)).sum(axis=0)
                 decided = np.logical_or(clear, full, out=clear)
                 np.greater(undecided, decided, out=undecided)  # undecided and not decided
             open_runs = np.flatnonzero(undecided)
@@ -360,20 +398,20 @@ def _blockage(
             open_valid = valid.ravel()[open_runs]
             shape = (run, len(open_runs))
             steps = np.arange(run, dtype=np.float64)[:, np.newaxis]
-            t = np.add(steps, (k0 + run * open_run).astype(np.float64), out=_rows(t_buf, shape))
+            t = np.add(steps, (k0 + run * open_run).astype(np.float64), out=_rows(buf.t, shape))
             t += 0.5
             t /= k_float[open_row]
             ray_row = r[open_row]
-            pos = _rows(pos_buf, shape)
-            cols = _pixels(t, a[ray_row, 0], ux[ray_row], resolution, w_px, pos, _rows(cols_buf, shape))
-            cells = _pixels(t, a[ray_row, 1], uy[ray_row], resolution, h_px, pos, _rows(cells_buf, shape))
+            pos = _rows(buf.pos, shape)
+            cols = _pixels(t, a[ray_row, 0], ux[ray_row], resolution, w_px, pos, _rows(buf.cols, shape))
+            cells = _pixels(t, a[ray_row, 1], uy[ray_row], resolution, h_px, pos, _rows(buf.cells, shape))
             cells *= w_px
             cells += cols
             # samples past a group's own K or the pass's end count as clear
             short = np.flatnonzero(open_valid < run)
             padding = np.arange(run)[:, np.newaxis] >= open_valid[short]
             if level:  # a sample is blocked exactly when occupied marks its pixel; pos is spent
-                below = occupied.take(cells, out=_rows(pos_buf.view(bool), shape), mode="clip")
+                below = occupied.take(cells, out=_rows(buf.pos.view(bool), shape), mode="clip")
                 below[:, short] &= ~padding
                 blocked += np.bincount(open_row, np.count_nonzero(below, axis=0), len(k)).astype(np.int64)
                 continue
@@ -386,11 +424,11 @@ def _blockage(
                 open_member = np.arange(len(open_index)) - np.repeat(np.cumsum(n_open) - n_open, n_open)
                 open_member += (bounds[g:e] - bounds[g])[open_row][open_index]
                 shape = (run, len(open_index))
-                t = t.take(open_index, axis=1, out=_rows(z_buf, shape), mode="clip")
-                roof = roof.take(open_index, axis=1, out=_rows(roof_z_buf, shape), mode="clip")
+                t = t.take(open_index, axis=1, out=_rows(buf.z, shape), mode="clip")
+                roof = roof.take(open_index, axis=1, out=_rows(buf.roof_z, shape), mode="clip")
             t *= dz[open_member]
             t += oz[open_member]
-            below = np.less(t, roof, out=_rows(below_buf, shape))
+            below = np.less(t, roof, out=_rows(buf.below, shape))
             member_blocked += np.bincount(open_member, np.count_nonzero(below, axis=0), len(members)).astype(np.int64)
         blocked = blocked[member_group]
         if not level:

@@ -36,8 +36,9 @@ class RopeConfig:
     theta_base: float = 10000.0
 
     def __post_init__(self):
+        _check("a triple", axis_dims=self.axis_dims)
         _check("an integer >= 1", head_dim=self.head_dim, **{f"axis_dims[{i}]": a for i, a in enumerate(self.axis_dims)})
-        if len(self.axis_dims) != 3 or any(a % 2 for a in self.axis_dims):
+        if any(a % 2 for a in self.axis_dims):
             raise ValidationError(f"axis_dims must be three even integers, got {self.axis_dims!r}")
         if sum(self.axis_dims) != self.head_dim:
             raise ValidationError(

@@ -46,6 +46,7 @@ class CityParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check("a pair", height_range=self.height_range, footprint_range=self.footprint_range)
         (lo, hi), (flo, fhi) = self.height_range, self.footprint_range
         _check("an integer >= 1", side_px=self.side_px, **{"footprint_range[0]": flo, "footprint_range[1]": fhi})
         _check("an integer >= 0", n_buildings=self.n_buildings, seed=self.seed)
@@ -151,6 +152,7 @@ def gen_field(
     """
     _check("an integer >= 0", seed=seed)
     _check("finite and >= 0", noise_sigma=noise_sigma, smooth_sigma=smooth_sigma)
+    smooth_sigma = float(smooth_sigma)  # a numpy float32 sigma would build a float32 kernel
     side = max(scene.heightmap.height_px, scene.heightmap.width_px)
     if int(4 * smooth_sigma + 0.5) > side:
         raise ValidationError(
@@ -175,16 +177,24 @@ def _paint(heights: np.ndarray, r0: int, r1: int, c0: int, c1: int, h: float) ->
     heights[r0:r1, c0:c1] = h
 
 
-def _check_preset(name: str, seed: int, side_px: int, min_side: int) -> None:
+def _check_preset(name: str, seed: int, side_px: int, resolution: float, min_side: int) -> float:
+    """Refuse a bad preset argument by name, and return resolution as a float.
+
+    A numpy float32 resolution would place the transmitter in float32
+    arithmetic; as a float it builds what its value builds.
+    """
     _check("an integer >= 0", seed=seed)
+    _check("an integer >= 1", side_px=side_px)
+    _check("finite and > 0", resolution=resolution)
     if side_px < min_side:
         raise ValidationError(f"preset {name!r} needs side_px >= {min_side}, got {side_px}")
+    return float(resolution)
 
 
 def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """Transmitter at the map edge behind staggered obstacle rows."""
     # obstacles are side_px // 8 rows by side_px // 10 columns
-    _check_preset("edge", seed, side_px, 10)
+    resolution = _check_preset("edge", seed, side_px, resolution, 10)
     rng = np.random.default_rng(seed)
     heights = np.zeros((side_px, side_px))
     for k in range(3):
@@ -198,7 +208,7 @@ def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -
 def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -> Scene:
     """Parallel slabs forming street canyons with crossing corridors."""
     # streets and corridors are side_px // 16 wide
-    _check_preset("canyon", seed, side_px, 16)
+    resolution = _check_preset("canyon", seed, side_px, resolution, 16)
     rng = np.random.default_rng(seed)
     heights = np.zeros((side_px, side_px))
     slab = side_px // 10
@@ -216,7 +226,7 @@ def preset_sparse(seed: int = 0, side_px: int = 256, resolution: float = 1.0) ->
     # its four footprints, up to max(3, side_px // 10) px a side, fit two by
     # two from side 6, but random placement still fails for 7 of seeds 0-999
     # there; from side 7 none of them does
-    _check_preset("sparse", seed, side_px, 7)
+    resolution = _check_preset("sparse", seed, side_px, resolution, 7)
     params = CityParams(
         side_px=side_px,
         resolution=resolution,
@@ -252,7 +262,7 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     the seed picks the orientation and the rooftop texture.
     """
     # side_px // 3 px patches must be wider than the two-pixel corridor
-    _check_preset("serpentine", seed, side_px, 12)
+    resolution = _check_preset("serpentine", seed, side_px, resolution, 12)
     if side_px % 6:
         raise ValueError(f"serpentine preset needs side_px divisible by 6, got {side_px}")
     rng = np.random.default_rng(seed)

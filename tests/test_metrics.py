@@ -239,7 +239,7 @@ class TestGrad3dLoss:
             ({"scales": (1.5,)}, "scales[0] must be an integer >= 1, got 1.5"),
             ({"scales": (1, 2.0)}, "scales[1] must be an integer >= 1, got 2.0"),
             ({"scales": (0,)}, "scales[0] must be an integer >= 1, got 0"),
-            ({"scales": ()}, "scales must be non-empty, got ()"),
+            ({"scales": ()}, "scales must be a non-empty sequence, got ()"),
         ],
     )
     def test_bad_config_is_named(self, kwargs, needle):

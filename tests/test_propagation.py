@@ -10,10 +10,11 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radiofront import (
@@ -649,6 +650,77 @@ class TestLevelRule:
         for s in range(n_s):
             target = np.column_stack([b[:, 0], b[:, 1], bz[s]])
             assert np.array_equal(beta[s], blockage_ratio_reference(heights, res, a, target))
+
+
+def reference_blocked(heights, res, a, target, steps, k):
+    """Which of samples steps of the K = k ray a -> target are blocked, by blockage_ratio_reference's expressions."""
+    h_px, w_px = heights.shape
+    vec = target - a
+    t = (steps + 0.5) / k
+    cols = np.clip(((a[0] + vec[0] * t) / res).astype(np.int64), 0, w_px - 1)
+    rows = np.clip(((a[1] + vec[1] * t) / res).astype(np.int64), 0, h_px - 1)
+    return (a[2] + vec[2] * t) < heights[rows, cols]
+
+
+class TestStageOne:
+    """_decide_runs on its own: a run it marks clear has no blocked sample, and one it marks full
+    has every sample before K blocked."""
+
+    @settings(max_examples=150, phases=(Phase.explicit, Phase.generate))
+    @given(data=st.data())
+    def test_marked_runs_agree_with_the_reference_rule(self, data):
+        budget = data.draw(st.integers(1, 12) | st.just(propagation.SAMPLE_BUDGET), label="budget")
+        run_length = data.draw(st.integers(1, 2 * propagation.RUN_LENGTH), label="run_length")
+        n_s = data.draw(st.integers(1, 3), label="n_s")
+        n = data.draw(st.integers(1, 6), label="rays")
+        h_px, w_px = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+        res = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.7]), label="res")
+        z = st.sampled_from([0.5, 1.5, 2.5]) | st.floats(0, 30)
+        a, b = (
+            np.array([[data.draw(axis_coordinate(w_px, res)), data.draw(axis_coordinate(h_px, res)), data.draw(z)]
+                      for _ in range(n)])
+            for _ in range(2)
+        )
+        # some rays level, so that whole calls are level too
+        flat = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        b[flat, 2] = a[flat, 2]
+        bz = np.array([b[:, 2]] + [np.where(flat, a[:, 2], [data.draw(z) for _ in range(n)]) for _ in range(n_s - 1)])
+        z_lo, z_hi = sample_z_bounds(res, a, b, bz)
+        roof = st.sampled_from([
+            z_lo, z_hi, np.nextafter(z_lo, -np.inf), np.nextafter(z_lo, np.inf), np.nextafter(z_hi, -np.inf),
+            np.nextafter(z_hi, np.inf), (z_lo + z_hi) / 2, 0.0, 40.0, math.nan,
+        ])
+        heights = data.draw(arrays(np.float64, (h_px, w_px), elements=roof), label="heights")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "SAMPLE_BUDGET", budget)
+            mp.setattr(propagation, "RUN_LENGTH", run_length)
+            _, ux, uy, order, bounds, group_k, group_ray, chunks, _, _, tables, sizes = propagation._plan(
+                heights, res, a, b[:, 0], b[:, 1], bz
+            )
+            assume(tables)
+            group_size, _, run_size = sizes
+            # the scratch _decide_runs takes, sized as _blockage sizes it
+            buf = SimpleNamespace(t=np.empty(group_size), pos=np.empty(group_size))
+            buf.cols, buf.cells = (np.empty(group_size, dtype=np.int64) for _ in range(2))
+            buf.low_rows, buf.high_rows = (np.empty(run_size, dtype=np.int64) for _ in range(2))
+            buf.count, buf.tmp_count = (np.empty(run_size, dtype=tables[0].dtype) for _ in range(2))
+            buf.clear, buf.full = (np.empty(run_size, dtype=bool) for _ in range(2))
+            for g, e, width in chunks:
+                k, r = group_k[g:e], group_ray[g:e]
+                for k0 in range(0, int(k[-1]), width):
+                    n_runs, run = propagation._runs(min(width, int(k[-1]) - k0))
+                    edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
+                    t = (edges + 0.5)[:, np.newaxis] / k.astype(np.float64)
+                    clear, full = propagation._decide_runs(t, r, a, ux, uy, res, h_px, w_px, *tables, buf)
+                    for i, j in zip(*np.nonzero(clear | full)):
+                        steps = k0 + run * i + np.arange(run)
+                        steps = steps[steps < k[j]].astype(np.float64)
+                        for member in order[bounds[g + j] : bounds[g + j + 1]]:
+                            ray, s = divmod(int(member), n_s)
+                            target = np.array([b[ray, 0], b[ray, 1], bz[s, ray]])
+                            blocked = reference_blocked(heights, res, a[ray], target, steps, k[j])
+                            assert not (clear[i, j] and blocked.any())
+                            assert not full[i, j] or blocked.all()
 
 
 class TestFarRays:
