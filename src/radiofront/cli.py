@@ -152,7 +152,7 @@ def _scene_from_args(args) -> Scene:
     if args.manifest:
         manifest = _read_key_values(args.manifest)
         scene_values = {k: manifest[k] for k in _SCENE_KEYS if k in manifest}
-        opts = _typed_options(_SUBPARSERS[args.command], args.manifest, scene_values)
+        opts = _typed_options(args.parser, args.manifest, scene_values)
         if "heightmap" in opts and not os.path.isabs(opts["heightmap"]):
             opts["heightmap"] = str(Path(args.manifest).parent / opts["heightmap"])
     opts.update(_given(**{k: getattr(args, k) for k in _SCENE_KEYS}))
@@ -192,6 +192,13 @@ def cmd_anchor(args) -> int:
     return 0
 
 
+def _oracle_verdict(scene: Scene, patches: PatchGrid, params, costs) -> tuple[float, bool]:
+    """Bellman-Ford's max relative cost gap to costs, and whether its costs and predecessors are bit-identical."""
+    bf = bruteforce_costs(scene, patches, params)
+    gap = float(np.max(np.abs(bf.d - costs.d) / (1.0 + costs.d)))
+    return gap, np.array_equal(bf.d, costs.d) and np.array_equal(bf.pred, costs.pred)
+
+
 def cmd_order(args) -> int:
     scene = _scene_from_args(args)
     patches = PatchGrid.for_scene(scene, **_given(patch_px=args.patch_px))
@@ -220,9 +227,7 @@ def cmd_order(args) -> int:
         report = verify_predecessor_containment(order, costs)
         print(f"containment: holds={report.holds} violations={len(report.violations)}")
         if patches.n_patches <= 1024:
-            bf = bruteforce_costs(scene, patches, params)
-            gap = float(np.max(np.abs(bf.d - costs.d) / (1.0 + costs.d)))
-            ok = np.array_equal(bf.d, costs.d) and np.array_equal(bf.pred, costs.pred)
+            gap, ok = _oracle_verdict(scene, patches, params, costs)
             print(f"oracle: bellman-ford max relative gap {gap:.3e} ({'ok' if ok else 'FAIL'})")
             if not ok:
                 status = 1
@@ -233,26 +238,29 @@ def cmd_order(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    """Checks every flag and computes every result before it prints or writes anything."""
     for flag, value in (("--delta-out", args.delta_out), ("--order-b", args.order_b)):
         if value and not args.trace_b:
             raise ValueError(f"{flag} needs --trace-b")
-    orders = [load_order(p) for p in args.order] if args.order else [None] * len(args.trace)
-    if len(orders) not in (1, len(args.trace)):
+    if args.trace_b and not (args.order and args.order_b):
+        raise ValueError("delta map needs --order and --order-b")
+    if args.order and len(args.order) not in (1, len(args.trace)):
         raise ValueError("give one --order per --trace, or a single shared one")
+    orders = [load_order(p) for p in args.order] if args.order else [None]
     if len(orders) == 1:
-        orders = orders * len(args.trace)
+        orders *= len(args.trace)
     traces = [load_trace(t, o) for t, o in zip(args.trace, orders)]
     prof = entropy_profile(traces, base2=args.base2)
-    unit = "bits" if args.base2 else "nats"
+    dh = None
+    if args.trace_b:
+        trace_b = load_trace(args.trace_b, load_order(args.order_b))
+        dh = delta_h_map(traces[0], trace_b, base2=args.base2)
     if args.profile_csv:
         rows = zip(range(len(prof.mean)), prof.mean.tolist(), prof.std.tolist())
         write_table(args.profile_csv, ("step", "mean", "std"), rows)
+    unit = "bits" if args.base2 else "nats"
     print(f"entropy: H_bar = {prof.overall_mean:.4f} {unit} over {len(traces)} trace(s)")
-    if args.trace_b:
-        if not (args.order and args.order_b):
-            raise ValueError("delta map needs --order and --order-b")
-        trace_b = load_trace(args.trace_b, load_order(args.order_b))
-        dh = delta_h_map(traces[0], trace_b, base2=args.base2)
+    if dh is not None:
         if args.delta_out:
             save_grid(RadioField(dh.grid[np.newaxis], UNIT_DB), args.delta_out)
         print(f"delta-H: mean={dh.mean:.4f} variance={dh.variance:.4f}")
@@ -346,11 +354,9 @@ def _suite_ordering(rng) -> None:
         )
         patches = PatchGrid.for_scene(scene, patch_px=4)
         order, costs = wavefront_order(scene, patches)
-        bf = bruteforce_costs(scene, patches)
-        if not np.array_equal(bf.d, costs.d):
-            raise AssertionError("wavefront and bellman-ford costs disagree")
-        if not np.array_equal(bf.pred, costs.pred):
-            raise AssertionError("wavefront and bellman-ford predecessors disagree")
+        gap, ok = _oracle_verdict(scene, patches, None, costs)
+        if not ok:
+            raise AssertionError(f"wavefront and bellman-ford disagree: max relative cost gap {gap:.3e}")
         if not verify_predecessor_containment(order, costs).holds:
             raise AssertionError("wavefront order lost predecessor containment")
 
@@ -412,9 +418,6 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="radiofront",
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output RGF1 path")
     p.add_argument("--csv", help="also export x,y,z,value CSV")
     p.add_argument("--volume", action="store_true", help="evaluate every rx slice")
-    p.set_defaults(func=cmd_anchor)
+    p.set_defaults(func=cmd_anchor, parser=p)
 
     p = sub.add_parser("order", help="construct a generation order")
     _add_scene_options(p)
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output order file (JSON)")
     p.add_argument("--cost-csv", help="dump patch_index,D,pred CSV")
     p.add_argument("--verify", action="store_true", help="run containment + oracle checks")
-    p.set_defaults(func=cmd_order)
+    p.set_defaults(func=cmd_order, parser=p)
 
     p = sub.add_parser("entropy", help="entropy profile and delta-H map from traces")
     p.add_argument("--trace", action="append", required=True, help="LTR1 trace (repeatable)")
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-b", help="order file for --trace-b")
     p.add_argument("--delta-out", help="write the per-patch delta grid as RGF1")
     p.add_argument("--base2", action="store_true", help="report bits instead of nats")
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, parser=p)
 
     p = sub.add_parser("metrics", help="compare predicted and ground-truth fields")
     p.add_argument("--pred", required=True)
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-hi", type=float, help="dB mapped to 0.0")
     p.add_argument("--scales", type=_number_list(int), help="gradient-loss pooling factors")
     p.add_argument("--lambda-z", type=float)
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, parser=p)
 
     p = sub.add_parser("synth", help="generate synthetic scenes and fields")
     p.add_argument("--out-dir", required=True)
@@ -489,14 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, help="dB noise std")
     p.add_argument("--smooth-sigma", type=float, help="gaussian blur, px")
     p.add_argument("--clamp-profile", choices=sorted(PATHLOSS_RANGES), help="clip range")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("selftest", help="run the built-in oracle suites")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
-
-    _SUBPARSERS.clear()
-    _SUBPARSERS.update(sub.choices)
+    p.set_defaults(func=cmd_selftest, parser=p)
     return parser
 
 
@@ -507,8 +507,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = args.config or os.environ.get(CONFIG_ENV)
         if config:  # config values become the subcommand's defaults; flags still win
-            sub = _SUBPARSERS[args.command]
-            sub.set_defaults(**_typed_options(sub, config, _read_key_values(config)))
+            args.parser.set_defaults(**_typed_options(args.parser, config, _read_key_values(config)))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -38,31 +38,25 @@ def _entropies(logits: np.ndarray, base2: bool) -> np.ndarray:
     """Softmax entropy of each row of finite (n, vocab) float64 logits.
 
     Rows are taken in blocks of at most _BLOCK_LOGITS logits (one row when
-    the vocab is larger), through scratch allocated once per call, so each
-    block's passes stay in cache.  A row's sums run over the same contiguous
-    values in any block, so the result does not depend on the blocking.
+    the vocab is larger), each through arrays of its own, so each block's
+    passes stay in cache.  A row's sums run over the same contiguous values
+    in any block, so the result does not depend on the blocking.
     """
     n, vocab = logits.shape
     rows = min(n, max(1, _BLOCK_LOGITS // vocab))
-    # C order: numpy sums Fortran-ordered rows in another order than 1D vectors
-    z = np.empty((rows, vocab))
-    p = np.empty((rows, vocab))
-    peak = np.empty((rows, 1))
     total = np.empty(n)
     h = np.empty(n)  # sum of p * z per row, then the entropy
     # a row range beyond float64 overflows x - max to -inf, and 0 * -inf is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, rows):
             block = logits[start:start + rows]
-            m = len(block)
-            zb, pb, tb = z[:m], p[:m], total[start:start + m]
-            np.max(block, axis=1, out=peak[:m], keepdims=True)
-            np.subtract(block, peak[:m], out=zb)
-            np.exp(zb, out=pb)
-            np.sum(pb, axis=1, out=tb)
-            pb /= tb[:, np.newaxis]
-            pb *= zb
-            np.sum(pb, axis=1, out=h[start:start + m])
+            # C order: numpy sums Fortran-ordered rows in another order than 1D vectors
+            z = np.subtract(block, block.max(axis=1, keepdims=True), order="C")
+            p = np.exp(z)
+            t = np.sum(p, axis=1, out=total[start:start + rows])
+            p /= t[:, np.newaxis]
+            p *= z
+            np.sum(p, axis=1, out=h[start:start + rows])
         np.log(total, out=total)
         np.subtract(total, h, out=h)
         np.clip(h, 0.0, np.log(vocab), out=h)
@@ -278,7 +272,9 @@ def build_shadow_joint(costs: CostField, eps: float = 0.1) -> JointDist:
     n = len(costs.d)
     if n > 12:
         raise ValidationError(f"shadow joint limited to 12 patches, got {n}")
-    if not 0 <= eps <= 1:
+    _check("finite and >= 0", eps=eps)
+    eps = float(eps)  # a numpy float32 eps would make 1 - eps in float32
+    if not eps <= 1:
         raise ValidationError("flip probability must lie in [0, 1]")
     tokens = np.indices((2,) * n)  # tokens[i] is x_i over the outcome table
     probs = np.ones((2,) * n, dtype=np.float64)

@@ -295,11 +295,19 @@ class Scene:
         return Scene(self.heightmap, replace(self.tx, **kwargs), self.rx)
 
 
+def _cell(coord: float, size: float, n_cells: int) -> int:
+    """The cell of n_cells cells of length size that holds coord in [0, n_cells * size).
+
+    A coord just inside the far edge may divide to n_cells; it lies in the last cell.
+    """
+    return min(int(coord / size), n_cells - 1)
+
+
 def rasterize_tx(scene: Scene) -> RadioField:
     """Single-channel mask: 1 at the pixel containing the transmitter."""
     h = scene.heightmap
-    j = int(scene.tx.x / h.resolution)
-    i = int(scene.tx.y / h.resolution)
+    j = _cell(scene.tx.x, h.resolution, h.width_px)
+    i = _cell(scene.tx.y, h.resolution, h.height_px)
     mask = np.zeros((1, h.height_px, h.width_px), dtype=np.float64)
     mask[0, i, j] = 1.0
     return RadioField(mask, UNIT_NORM01, h.resolution)

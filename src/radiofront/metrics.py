@@ -209,10 +209,12 @@ class CdfTable:
 
     def percentile(self, q: float) -> float:
         """Empirical quantile (inverted CDF): smallest v with CDF(v) >= q/100."""
+        _check("finite", q=q)
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         n = len(self.values)
-        idx = max(0, min(n - 1, math.ceil(q / 100.0 * n) - 1))
+        # float(q): a numpy float32 q would pick its index in float32
+        idx = max(0, min(n - 1, math.ceil(float(q) / 100.0 * n) - 1))
         return float(self.values[idx])
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, _check, _fields_equal, _held, atomic_write, write_table
+from .grids import HeightMap, RadioField, Scene, ValidationError, _cell, _check, _fields_equal, _held, atomic_write, write_table
 from .propagation import blockage_ratio_batch
 
 NO_PRED = -1
@@ -107,10 +107,7 @@ class PatchGrid:
         if not (0 <= x < extent and 0 <= y < extent):
             raise ValidationError(f"point ({x!r}, {y!r}) lies outside the patch grid's [0, {extent!r}) m")
         side = self.patch_len
-        # a point just inside the far edge may divide to n_side
-        c = min(int(x / side), self.n_side - 1)
-        r = min(int(y / side), self.n_side - 1)
-        return r * self.n_side + c
+        return _cell(y, side, self.n_side) * self.n_side + _cell(x, side, self.n_side)
 
 
 @dataclass(frozen=True)
@@ -412,26 +409,31 @@ def bruteforce_costs(
 # geometric scan orders
 
 
+def _side(n_side: int, pow2_kind: str | None = None) -> int:
+    """n_side as an int, refused by name unless it is an integer >= 1 (and a power of two for pow2_kind)."""
+    _check("an integer >= 1", n_side=n_side)
+    if pow2_kind and n_side & (n_side - 1):
+        raise ValueError(f"{pow2_kind} order requires a power-of-two grid side, got {n_side}")
+    return int(n_side)
+
+
 def raster_order(n_side: int) -> OrderPi:
     """Row-major scan."""
+    n_side = _side(n_side)
     return OrderPi(np.arange(n_side * n_side), "raster")
 
 
 def alternative_order(n_side: int) -> OrderPi:
     """Serpentine scan: even rows left-to-right, odd rows right-to-left."""
+    n_side = _side(n_side)
     rows = np.arange(n_side * n_side).reshape(n_side, n_side)
     rows[1::2] = rows[1::2, ::-1].copy()
     return OrderPi(rows.ravel(), "alternative")
 
 
-def _require_pow2(n_side: int, kind: str) -> None:
-    if n_side < 1 or n_side & (n_side - 1):
-        raise ValueError(f"{kind} order requires a power-of-two grid side, got {n_side}")
-
-
 def hilbert_order(n_side: int) -> OrderPi:
     """Hilbert space-filling curve visit order."""
-    _require_pow2(n_side, "hilbert")
+    n_side = _side(n_side, "hilbert")
     t = np.arange(n_side * n_side, dtype=np.int64)
     x, y = np.zeros((2, t.size), dtype=np.int64)
     s = 1
@@ -450,7 +452,7 @@ def hilbert_order(n_side: int) -> OrderPi:
 
 def zcurve_order(n_side: int) -> OrderPi:
     """Morton (Z-curve) visit order."""
-    _require_pow2(n_side, "zcurve")
+    n_side = _side(n_side, "zcurve")
     bits = max(1, n_side.bit_length() - 1)
     d = np.arange(n_side * n_side, dtype=np.int64)
     x = np.zeros_like(d)
@@ -463,6 +465,7 @@ def zcurve_order(n_side: int) -> OrderPi:
 
 def subsample_order(n_side: int) -> OrderPi:
     """Coarse-to-fine strided passes: stride n/2, n/4, ... 1, skipping visits."""
+    n_side = _side(n_side)
     strides = [max(1, n_side // 2)]
     while strides[-1] > 1:
         strides.append(strides[-1] // 2)
@@ -488,7 +491,7 @@ ORDER_KINDS = ("wavefront", "priorPL", "truePL", *GEOMETRIC_ORDERS, "custom")
 
 def _pl_order(values: np.ndarray, patches: PatchGrid | int, kind: str) -> OrderPi:
     """Patches by mean value, strongest (largest signed dB) first, like the wavefront."""
-    n_side = patches if isinstance(patches, int) else patches.n_side
+    n_side = patches.n_side if isinstance(patches, PatchGrid) else _side(patches)
     h_px = values.shape[0]
     if values.shape[0] != values.shape[1] or h_px % n_side != 0:
         raise ValidationError(

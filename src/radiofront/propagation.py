@@ -77,12 +77,6 @@ def _runs(n_steps: int) -> tuple[int, int]:
     return n_runs, -(-n_steps // n_runs)
 
 
-def _padded(n_steps: int) -> int:
-    """Sample slots of n_steps samples cut into runs (see _runs)."""
-    n_runs, run = _runs(n_steps)
-    return n_runs * run
-
-
 def _chunks(bounds: np.ndarray, group_k: np.ndarray) -> list[tuple[int, int, int]]:
     """(first group, end group, samples per pass) of each chunk of K-sorted groups.
 
@@ -100,7 +94,7 @@ def _chunks(bounds: np.ndarray, group_k: np.ndarray) -> list[tuple[int, int, int
         fitting = bisect_right(
             range(g + 1, len(group_k) + 1),
             SAMPLE_BUDGET,
-            key=lambda end: (int(bounds[end]) - m0) * _padded(int(group_k[end - 1])),
+            key=lambda end: (int(bounds[end]) - m0) * math.prod(_runs(int(group_k[end - 1]))),
         )
         e = g + max(1, fitting)
         width = max(1, SAMPLE_BUDGET // (int(bounds[e]) - m0))

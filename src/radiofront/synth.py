@@ -51,6 +51,8 @@ class CityParams:
         _check("an integer >= 1", side_px=self.side_px, **{"footprint_range[0]": flo, "footprint_range[1]": fhi})
         _check("an integer >= 0", n_buildings=self.n_buildings, seed=self.seed)
         _check("finite and > 0", resolution=self.resolution)
+        # a numpy float32 resolution would place gen_scene's transmitter in float32
+        object.__setattr__(self, "resolution", float(self.resolution))
         _check("finite and >= 0", **{"height_range[0]": lo, "height_range[1]": hi})
         if hi < lo:
             raise ValidationError(f"bad height range {self.height_range}")
@@ -173,10 +175,6 @@ def gen_field(
 # propagation-regime presets
 
 
-def _paint(heights: np.ndarray, r0: int, r1: int, c0: int, c1: int, h: float) -> None:
-    heights[r0:r1, c0:c1] = h
-
-
 def _check_preset(name: str, seed: int, side_px: int, resolution: float, min_side: int) -> float:
     """Refuse a bad preset argument by name, and return resolution as a float.
 
@@ -200,7 +198,7 @@ def preset_edge_tx(seed: int = 0, side_px: int = 256, resolution: float = 1.0) -
     for k in range(3):
         c0 = side_px // 4 + k * side_px // 5
         for r0 in range(side_px // 8 + (k % 2) * side_px // 6, side_px - side_px // 8, side_px // 4):
-            _paint(heights, r0, r0 + side_px // 8, c0, c0 + side_px // 10, rng.uniform(10, 20))
+            heights[r0: r0 + side_px // 8, c0: c0 + side_px // 10] = rng.uniform(10, 20)
     tx = TxConfig(x=resolution * side_px * 0.03, y=resolution * side_px * (0.3 + 0.4 * rng.random()))
     return Scene(HeightMap(heights, resolution), tx)
 
@@ -215,7 +213,7 @@ def preset_urban_canyon(seed: int = 0, side_px: int = 256, resolution: float = 1
     street = side_px // 16
     cross = side_px // 2 + int(rng.integers(-side_px // 8, side_px // 8))
     for c0 in range(street, side_px - slab, slab + street):
-        _paint(heights, side_px // 16, side_px - side_px // 16, c0, c0 + slab, rng.uniform(12, 20))
+        heights[side_px // 16: side_px - side_px // 16, c0: c0 + slab] = rng.uniform(12, 20)
         heights[cross: cross + street, c0: c0 + slab] = 0.0
     tx = TxConfig(x=resolution * street * 0.5, y=resolution * side_px * 0.5)
     return Scene(HeightMap(heights, resolution), tx)

@@ -246,6 +246,28 @@ class TestEntropyCommand:
         assert capsys.readouterr() == ("", f"error: {flag} needs --trace-b\n")
         assert not profile.exists() and not target.exists()
 
+    def test_delta_map_without_orders_prints_and_writes_nothing(self, tmp_path, capsys):
+        t_a, t_b, _ = self.make_traces(tmp_path)
+        profile = tmp_path / "profile.csv"
+        rc = main(["entropy", "--trace", str(t_a), "--profile-csv", str(profile), "--trace-b", str(t_b)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: delta map needs --order and --order-b\n")
+        assert not profile.exists()
+
+    @pytest.mark.parametrize("missing", ["--trace-b", "--order-b"])
+    def test_unreadable_second_input_prints_and_writes_nothing(self, tmp_path, capsys, missing):
+        t_a, t_b, o_path = self.make_traces(tmp_path)
+        profile, delta = tmp_path / "profile.csv", tmp_path / "dh.rgf"
+        inputs = {"--trace-b": str(t_b), "--order-b": str(o_path), missing: str(tmp_path / "absent")}
+        rc = main(
+            ["entropy", "--trace", str(t_a), "--order", str(o_path), *itertools.chain(*inputs.items()),
+             "--profile-csv", str(profile), "--delta-out", str(delta)]
+        )
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not profile.exists() and not delta.exists()
+
 
 class TestMetricsCommand:
     def test_report(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radiofront import (
     CostField,
@@ -359,6 +360,25 @@ class TestRasterizeTx:
             y = float(rng.uniform(0, side * res))
             sc = Scene(HeightMap(np.zeros((side, side)), res), TxConfig(x, y, 1.5, 1e9))
             assert rasterize_tx(sc).values.sum() == 1.0
+
+    def test_far_edge_transmitter_is_in_the_last_pixel(self):
+        # 3.4999999999999996 / 0.7 divides to 5.0, one past the last column
+        sc = Scene(HeightMap(np.zeros((5, 5)), 0.7), TxConfig(3.4999999999999996, 1.0))
+        assert rasterize_tx(sc).values[0, 1, 4] == 1.0
+
+    @settings(max_examples=300)
+    @given(
+        side=st.integers(1, 199),
+        res=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 3.7]),
+        data=st.data(),
+    )
+    def test_marked_pixel_is_the_one_pixel_patch_of_the_transmitter(self, side, res, data):
+        extent = side * res  # as HeightMap.extent computes it
+        coord = st.floats(0.0, extent, exclude_max=True) | st.just(np.nextafter(extent, 0.0))
+        x, y = data.draw(coord, label="x"), data.draw(coord, label="y")
+        sc = Scene(HeightMap(np.zeros((side, side)), res), TxConfig(x, y))
+        marked = np.flatnonzero(rasterize_tx(sc).values)
+        assert marked.tolist() == [PatchGrid(1, side, res, 1.5).patch_of(x, y)]
 
 
 class TestNormalization:

@@ -20,6 +20,7 @@ from radiofront import (
     PRESETS,
     UNIT_DB,
     UNIT_NORM01,
+    CdfTable,
     CityParams,
     CostField,
     GradLossConfig,
@@ -34,11 +35,18 @@ from radiofront import (
     Scene,
     TxConfig,
     ValidationError,
+    alternative_order,
     blockage_ratio_batch,
+    build_shadow_joint,
     denormalize_db,
     gen_field,
+    hilbert_order,
     limited_context_entropy,
     normalize_db,
+    prior_pl_order,
+    raster_order,
+    subsample_order,
+    zcurve_order,
 )
 
 FINITE, POSITIVE, NON_NEGATIVE = "finite", "finite and > 0", "finite and >= 0"
@@ -47,6 +55,10 @@ COUNT, INDEX = "an integer >= 1", "an integer >= 0"
 SCENE = Scene(HeightMap(np.zeros((8, 8)), 1.0), TxConfig(2.5, 3.5))
 DB = RadioField(np.full((2, 2), -80.0), UNIT_DB)
 JOINT = JointDist(np.full((2, 2, 2), 0.125))
+CHAIN = CostField(np.arange(3.0), [-1, 0, 1], 0)
+ANCHOR = RadioField(-np.arange(64.0).reshape(8, 8), UNIT_DB)
+# at q = 60, q / 100 * 25 is 15.0 in float64 but 15.000001 in float32, one index further
+CDF = CdfTable(np.arange(25.0), np.arange(1, 26) / 25)
 
 
 def fields_of(build, table):
@@ -101,6 +113,14 @@ CASES = [
     ("axis_dims[1]", COUNT, lambda v: RopeConfig(8, (2, v, 2)), 4),
     ("k", INDEX, lambda v: limited_context_entropy(JOINT, [0, 1, 2], v), 1),
     ("order[2]", INDEX, lambda v: limited_context_entropy(JOINT, [2, 1, v], 1), 0),
+    *[
+        ("n_side", COUNT, order, 4)
+        for order in (raster_order, alternative_order, hilbert_order, zcurve_order, subsample_order)
+    ],
+    ("n_side", COUNT, lambda v: prior_pl_order(ANCHOR, v), 4),
+    # 0.5 is exact in float32, 0.1 is not: a float32 eps shows its own 1 - eps
+    *[("eps", NON_NEGATIVE, lambda v: build_shadow_joint(CHAIN, v).probs, good) for good in (0.5, 0.1)],
+    *[("q", FINITE, CDF.percentile, good) for good in (50.0, 60.0)],
     *fields_of(lambda **kw: normalize_db(DB, **kw), [("lo", FINITE, -40.0), ("hi", FINITE, -160.0)]),
     *fields_of(lambda **kw: denormalize_db(RadioField(np.ones((2, 2)), UNIT_NORM01), **kw), [
         ("lo", FINITE, -40.0), ("hi", FINITE, -160.0),

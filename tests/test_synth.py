@@ -118,6 +118,16 @@ class TestGenScene:
         tx = gen_scene(p).tx
         assert replace(tx, x=0.0, y=0.0) == TxConfig(0.0, 0.0)
 
+    def test_float32_resolution_builds_what_its_value_builds(self):
+        # == compares a float32 with a float in float32, so compare types and bits
+        kw = dict(side_px=32, n_buildings=2, footprint_range=(2, 4), seed=1)
+        a = gen_scene(CityParams(resolution=np.float32(0.7), **kw))
+        b = gen_scene(CityParams(resolution=float(np.float32(0.7)), **kw))
+        for s in (a, b):
+            assert type(s.tx.x) is float and type(s.tx.y) is float
+        assert (a.tx.x, a.tx.y) == (b.tx.x, b.tx.y)
+        assert np.array_equal(anchor_map(a).values, anchor_map(b).values)
+
 
 class TestGenField:
     def scene(self, n_z=1):
