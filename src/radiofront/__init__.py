@@ -31,7 +31,6 @@ from .grids import (
     save_grid,
 )
 from .propagation import (
-    AnchorMap,
     LinkBudget,
     anchor_map,
     anchor_volume,

@@ -284,15 +284,16 @@ class Scene:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValidationError(f"scene {name} must be a {kind.__name__}, got {type(value).__name__}")
-        x_max, y_max = self.heightmap.extent
-        if not (0 <= self.tx.x < x_max and 0 <= self.tx.y < y_max):
-            raise ValidationError(
-                f"transmitter ({self.tx.x}, {self.tx.y}) outside map extent "
-                f"[0, {x_max}) x [0, {y_max})"
-            )
+        _check_in_map("transmitter", self.tx.x, self.tx.y, *self.heightmap.extent)
 
     def with_tx(self, **kwargs) -> "Scene":
         return Scene(self.heightmap, replace(self.tx, **kwargs), self.rx)
+
+
+def _check_in_map(what: str, x, y, x_max: float, y_max: float) -> None:
+    """Refuse a point (x, y) outside [0, x_max) x [0, y_max), or not finite, as `what`."""
+    if not (0 <= x < x_max and 0 <= y < y_max):
+        raise ValidationError(f"{what} ({x!r}, {y!r}) lies outside the map extent [0, {x_max!r}) x [0, {y_max!r}) m")
 
 
 def _cell(coord: float, size: float, n_cells: int) -> int:

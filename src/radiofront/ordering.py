@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, _cell, _check, _fields_equal, _held, atomic_write, write_table
-from .propagation import blockage_ratio_batch
+from .grids import HeightMap, RadioField, Scene, ValidationError, _cell, _check, _check_in_map, _fields_equal, _held, atomic_write, write_table
+from .propagation import blockage_ratio_batch, pixel_centers
 
 NO_PRED = -1
 
@@ -95,17 +95,13 @@ class PatchGrid:
 
     def centers(self) -> np.ndarray:
         """(N, 3) patch-center coordinates in meters."""
-        side = self.patch_len
-        idx = np.arange(self.n_patches)
-        cx = (idx % self.n_side + 0.5) * side
-        cy = (idx // self.n_side + 0.5) * side
-        return np.column_stack([cx, cy, np.full(self.n_patches, self.z)])
+        xs, ys = pixel_centers(self.n_side, self.n_side, self.patch_len)
+        return np.column_stack([xs.ravel(), ys.ravel(), np.full(self.n_patches, self.z)])
 
     def patch_of(self, x: float, y: float) -> int:
         """The patch holding point (x, y), which must lie in [0, n_side * patch_len) on both axes."""
         extent = self.patch_px * self.n_side * self.resolution  # the map's extent, as HeightMap computes it
-        if not (0 <= x < extent and 0 <= y < extent):
-            raise ValidationError(f"point ({x!r}, {y!r}) lies outside the patch grid's [0, {extent!r}) m")
+        _check_in_map("point", x, y, extent, extent)
         side = self.patch_len
         return _cell(y, side, self.n_side) * self.n_side + _cell(x, side, self.n_side)
 
@@ -140,14 +136,22 @@ class CostField:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
-        object.__setattr__(self, "pred", np.asarray(self.pred, dtype=np.int64))
-        n = len(self.d)
-        if len(self.pred) != n or np.any((self.pred < NO_PRED) | (self.pred >= n)):
+        d = np.asarray(self.d, dtype=np.float64)
+        if d.ndim != 1 or not np.isfinite(d).all():
+            raise ValidationError(f"d must be a 1-D array of finite costs, got {self.d!r}")
+        pred = np.asarray(self.pred)
+        if pred.ndim != 1 or not np.issubdtype(pred.dtype, np.integer):
+            raise ValidationError(f"pred must be a 1-D integer array, got {self.pred!r}")
+        pred = pred.astype(np.int64, copy=False)
+        n = len(d)
+        if len(pred) != n or np.any((pred < NO_PRED) | (pred >= n)):
             raise ValidationError(f"pred must hold {n} entries, each {NO_PRED} or in [0, {n})")
         _check("an integer >= 0", source=self.source)
         if not self.source < n:
             raise ValidationError(f"source {self.source} outside [0, {n})")
+        for name, a in (("d", d), ("pred", pred)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)

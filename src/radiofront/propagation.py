@@ -13,15 +13,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _check, _held
+from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _check, _check_in_map, _held
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
 SAMPLE_BUDGET = 1 << 18  # ray samples (member rows x K) held at once by the blockage kernel
 RUN_LENGTH = 8  # consecutive samples of a ray the blockage kernel decides at once
-
-# single-channel dB field over the pixel grid at receiver height
-AnchorMap = RadioField
 
 _FSPL_CONST = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 
@@ -38,8 +35,7 @@ def fspl(d: float | np.ndarray, f: float) -> float | np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.size and not d.min() > 0:  # a NaN distance is refused too, as its own minimum
         raise ValueError(f"distance must be positive, got {d.min()}")
-    if not f > 0:
-        raise ValueError(f"frequency must be positive, got {f}")
+    _check("finite and > 0", f=f)
     loss = -(20.0 * np.log10(d) + 20.0 * math.log10(f) + _FSPL_CONST)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -160,7 +156,7 @@ def _plan(heights: np.ndarray, resolution: float, a: np.ndarray, bx, by, bz) -> 
     sizes holds the entries of the largest pass's sample, member and run
     blocks.
     """
-    flat_heights = np.ravel(np.asarray(heights, dtype=np.float64))
+    flat_heights = heights.ravel()
     ux = bx - a[:, 0]
     uy = by - a[:, 1]
     with np.errstate(over="ignore"):  # an overflow leaves an infinite length, which is reported
@@ -472,8 +468,9 @@ def blockage_ratio_batch(
     into the other pixel, so the ratio is symmetric in endpoint order only up
     to such samples.
     """
-    if np.ndim(heights) != 2:
-        raise ValueError(f"heights must be a 2-D map, got shape {np.shape(heights)}")
+    heights = np.asarray(heights, dtype=np.float64)
+    if heights.ndim != 2:
+        raise ValueError(f"heights must be a 2-D map, got shape {heights.shape}")
     _check("finite and > 0", resolution=resolution)
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -489,10 +486,8 @@ def blockage_ratio(scene_or_h, u_a, u_b) -> float:
     h = scene_or_h.heightmap if isinstance(scene_or_h, Scene) else scene_or_h
     a = np.asarray(u_a, dtype=np.float64)
     b = np.asarray(u_b, dtype=np.float64)
-    x_max, y_max = h.extent
     for p in (a, b):
-        if not (0 <= p[0] < x_max and 0 <= p[1] < y_max):
-            raise ValueError(f"endpoint ({p[0]}, {p[1]}) outside map extent")
+        _check_in_map("endpoint", float(p[0]), float(p[1]), *h.extent)
     return float(blockage_ratio_batch(h.values, h.resolution, a[np.newaxis], b[np.newaxis])[0])
 
 
@@ -530,6 +525,8 @@ def anchor_map(scene: Scene, z: float | None = None) -> RadioField:
     range [FSPL(d0, f) - L_thr].  On a zero-height map every ratio is 0, so
     the anchor is fspl(max(d, d0), f) bit for bit.
     """
+    if z is not None:
+        _check("finite", z=z)
     return _anchor_slices(scene, [scene.rx.z_rx if z is None else z])
 
 

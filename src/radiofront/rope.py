@@ -22,6 +22,7 @@ def split_axis_dims(d: int) -> tuple[int, int, int]:
     Leftover pairs go to x first, then y, keeping horizontal resolution
     when d is not divisible by 6.
     """
+    _check("an integer >= 1", d=d)
     if d < 6 or d % 2:
         raise ValueError(f"head dim must be even and >= 6, got {d}")
     pairs = d // 2
@@ -58,6 +59,8 @@ def rotary_frequencies(d: int, theta_base: float = 10000.0) -> np.ndarray:
 
 def rope_rotate_1d(q, m: float, theta_base: float = 10000.0) -> np.ndarray:
     """Rotate consecutive pairs of q by m * phi_j; preserves the norm."""
+    _check("finite", m=m)
+    _check("finite and > 0", theta_base=theta_base)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size % 2:
         raise ValueError(f"vector length must be even, got shape {q.shape}")
@@ -75,6 +78,7 @@ def rope_rotate_3d(q, x: float, y: float, z: float, config: RopeConfig) -> np.nd
 
     The same coordinate rule serves 2D and 3D: hold z fixed for planar use.
     """
+    _check("finite", x=x, y=y, z=z)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size != config.head_dim:
         raise ValueError(f"expected a vector of length {config.head_dim}, got {q.shape}")

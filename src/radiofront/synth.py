@@ -267,20 +267,10 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     pp = side_px // 3
     half = pp // 2
     heights = rng.uniform(30.0, 80.0, (side_px, side_px))
-
-    def carve_h(prow):
-        y = prow * pp + half
+    for y in range(half, side_px, pp):  # a street along each patch-centre row
         heights[y - 1: y + 1, :] = 0.0
-
-    def carve_v(pcol, prow0, prow1):
-        x = pcol * pp + half
-        heights[prow0 * pp + half - 1: prow1 * pp + half + 1, x - 1: x + 1] = 0.0
-
-    carve_h(0)
-    carve_h(1)
-    carve_h(2)
-    carve_v(2, 0, 1)
-    carve_v(0, 1, 2)
+    for x, y in ((2 * pp + half, half), (half, pp + half)):  # joins rows y and y + pp at column x
+        heights[y - 1: y + pp + 1, x - 1: x + 1] = 0.0
     hm, tx_x, tx_y = _dihedral(
         heights, half * resolution, half * resolution, side_px * resolution, seed % 8
     )

@@ -28,6 +28,7 @@ from radiofront import (
     UNIT_NORM01,
     ValidationError,
     anchor_volume,
+    blockage_ratio,
     denormalize_db,
     grid_from_csv,
     grid_to_csv,
@@ -224,6 +225,34 @@ class TestInvariants:
         hm = HeightMap(np.zeros((4, 4)), 1.0)
         with pytest.raises(ValidationError, match="extent"):
             Scene(hm, TxConfig(4.2, 1.0, 1.5, 5.9e9))
+
+    @settings(max_examples=200)
+    @given(
+        patch_px=st.integers(1, 6),
+        n_side=st.integers(1, 8),
+        res=st.sampled_from([0.1, 0.25, 0.3, 0.7, 1.0, 3.7]),
+        data=st.data(),
+    )
+    def test_scene_ray_and_patch_grid_accept_the_same_points(self, patch_px, n_side, res, data):
+        hm = HeightMap(np.zeros((patch_px * n_side,) * 2), res)
+        extent = hm.extent[0]
+        edges = [0.0, -0.0, -5e-324, extent, np.nextafter(extent, 0.0), np.nextafter(extent, np.inf), np.nan]
+        coord = st.floats(-extent, 2 * extent) | st.sampled_from(edges)
+        x, y = data.draw(coord, label="x"), data.draw(coord, label="y")
+        grid = PatchGrid.for_scene(Scene(hm, TxConfig(0.0, 0.0)), patch_px)
+        checks = [
+            lambda: Scene(hm, TxConfig(x, y)),
+            lambda: blockage_ratio(hm, (x, y, 1.5), (0.0, 0.0, 1.5)),
+            lambda: grid.patch_of(x, y),
+        ]
+        verdicts = []
+        for check in checks:
+            try:
+                check()
+                verdicts.append(True)
+            except ValidationError:
+                verdicts.append(False)
+        assert verdicts == [0 <= x < extent and 0 <= y < extent] * 3
 
     @pytest.mark.parametrize("name", ["z_rx", "dz"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -36,15 +36,20 @@ from radiofront import (
     TxConfig,
     ValidationError,
     alternative_order,
+    anchor_map,
     blockage_ratio_batch,
     build_shadow_joint,
     denormalize_db,
+    fspl,
     gen_field,
     hilbert_order,
     limited_context_entropy,
     normalize_db,
     prior_pl_order,
     raster_order,
+    rope_rotate_1d,
+    rope_rotate_3d,
+    split_axis_dims,
     subsample_order,
     zcurve_order,
 )
@@ -59,6 +64,12 @@ CHAIN = CostField(np.arange(3.0), [-1, 0, 1], 0)
 ANCHOR = RadioField(-np.arange(64.0).reshape(8, 8), UNIT_DB)
 # at q = 60, q / 100 * 25 is 15.0 in float64 but 15.000001 in float32, one index further
 CDF = CdfTable(np.arange(25.0), np.arange(1, 26) / 25)
+Q = np.arange(1.0, 7.0)
+ROPE = RopeConfig(6, (2, 2, 2))
+
+
+def anchor_at(z):
+    return anchor_map(SCENE, z=z)
 
 
 def fields_of(build, table):
@@ -125,6 +136,14 @@ CASES = [
     *fields_of(lambda **kw: denormalize_db(RadioField(np.ones((2, 2)), UNIT_NORM01), **kw), [
         ("lo", FINITE, -40.0), ("hi", FINITE, -160.0),
     ]),
+    ("d", COUNT, split_axis_dims, 8),
+    ("m", FINITE, lambda v: rope_rotate_1d(Q, v), -3.0),
+    ("theta_base", POSITIVE, lambda v: rope_rotate_1d(Q, 3.0, v), 100.0),
+    *fields_of(lambda **kw: rope_rotate_3d(Q, **{"x": 1.0, "y": 2.0, "z": 3.0, **kw}, config=ROPE), [
+        ("x", FINITE, -4.0), ("y", FINITE, 0.5), ("z", FINITE, 2.0),
+    ]),
+    ("z", FINITE, anchor_at, 2.0),
+    ("f", POSITIVE, lambda v: fspl(10.0, v), 2.0**31),
 ]
 IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(CASES)]
 
@@ -153,6 +172,9 @@ DRAWN = {
 @given(data=st.data())
 def test_a_bad_number_is_refused_by_name(name, rule, build, good, data):
     for bad in [*NOT_A_NUMBER, *OUTSIDE[rule], data.draw(DRAWN[rule], label=name)]:
+        if bad is None and build is anchor_at:  # anchor_map's z=None means the scene's receiver height
+            assert same(build(bad), build(SCENE.rx.z_rx))
+            continue
         with pytest.raises(ValidationError) as err:
             build(bad)
         assert str(err.value) == f"{name} must be {rule}, got {bad!r}"

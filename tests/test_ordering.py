@@ -369,6 +369,13 @@ class TestPatchGraphCache:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
 
+    def test_returned_costs_are_read_only(self):
+        sc = self.city()
+        _, costs = wavefront_order(sc, PatchGrid.for_scene(sc, 8))
+        for a in (costs.d, costs.pred):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
     def test_held_graphs_stay_at_the_cap(self):
         sc = self.city(side_px=64)
         grids = [PatchGrid.for_scene(sc, p) for p in (1, 2, 4, 8, 16, 32)]
@@ -767,6 +774,19 @@ class TestContainment:
     def test_pred_and_source_range_checked(self, pred, source, needle):
         with pytest.raises(ValidationError, match=re.escape(needle)):
             CostField(np.arange(4.0), pred, source)
+
+    @pytest.mark.parametrize(
+        "d, pred, needle",
+        [
+            (np.zeros((2, 2)), [NO_PRED, 0], "d must be a 1-D array of finite costs"),
+            ([0.0, float("nan")], [NO_PRED, 0], "d must be a 1-D array of finite costs"),
+            ([0.0, 1.0], [NO_PRED, 0.5], "pred must be a 1-D integer array, got [-1, 0.5]"),
+        ],
+        ids=["2-D d", "NaN d", "float pred"],
+    )
+    def test_costs_must_be_1d_and_finite_and_pred_integer(self, d, pred, needle):
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            CostField(d, pred, 0)
 
     def test_wavefront_always_holds(self):
         rng = np.random.default_rng(31)

@@ -155,7 +155,7 @@ class TestFspl:
             fspl(10.0, -1.0)
         with pytest.raises(ValueError, match="distance must be positive, got nan"):
             fspl(np.array([3.0, math.nan]), 1e9)
-        with pytest.raises(ValueError, match="frequency must be positive, got nan"):
+        with pytest.raises(ValueError, match="f must be finite and > 0, got nan"):
             fspl(10.0, math.nan)
 
     def test_array_equals_each_element(self):
@@ -290,6 +290,14 @@ class TestBlockageRatio:
     def test_heights_must_be_a_2d_map(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"heights must be a 2-D map, got shape {shape}")):
             blockage_ratio_batch(np.zeros(shape), 1.0, [[0.5, 0.5, 1.0]], [[1.5, 0.5, 1.0]])
+
+    def test_nested_list_heights_give_the_array_beta(self):
+        # a nested list used to pass the rank check, then fail inside the kernel
+        heights = [[0, 0, 7], [0, 12, 0], [3, 0, 0]]
+        a, b = [[0.2, 0.4, 0.0], [2.9, 0.1, 0.5]], [[2.8, 2.6, 5.0], [0.3, 2.7, 4.0]]
+        expected = blockage_ratio_batch(np.array(heights, dtype=np.float64), 1.0, a, b)
+        assert np.all((expected > 0) & (expected < 1))
+        assert blockage_ratio_batch(heights, 1.0, a, b).tobytes() == expected.tobytes()
 
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
