@@ -143,18 +143,18 @@ def _rectangle_counts(table: np.ndarray, corners, out: np.ndarray, tmp: np.ndarr
 
 
 def _plan(heights: np.ndarray, resolution: float, a: np.ndarray, bx, by, bz) -> tuple:
-    """The call-wide part of _blockage, from its segments to the scratch sizes of its largest pass.
+    """The call-wide part of _blockage, from its segments to the scratch of its passes.
 
     Returns (flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks,
-    level, occupied, tables, sizes).  order holds the member indices
+    level, occupied, tables, buf).  order holds the member indices
     ray * S + slice sorted by (K, ray, slice); group g owns members
     order[bounds[g]:bounds[g + 1]], all with K group_k[g] on ray
     group_ray[g].  occupied marks the roofs above z_lo on a call that is
     level or builds tables, and is None otherwise.  tables is () on a call
     with fewer samples than the map has pixels, and otherwise the
     (clear, full) summed-area tables, one table twice on a level call.
-    sizes holds the entries of the largest pass's sample, member and run
-    blocks.
+    buf is the call's scratch, sized for its largest pass's sample, member
+    and run blocks and allocated after the tables.
     """
     flat_heights = heights.ravel()
     ux = bx - a[:, 0]
@@ -197,6 +197,7 @@ def _plan(heights: np.ndarray, resolution: float, a: np.ndarray, bx, by, bz) -> 
         level = np.count_nonzero(over_hi) == tables[0][-1]  # no roof in (z_lo, z_hi]
         if not level:
             tables = (tables[0], _summed_area(over_hi.reshape(heights.shape)))
+        del over_hi
     # the four sample blocks first hold a pass's run edges (runs + 1 per
     # group), then its undecided runs
     group_size = member_size = run_size = 0
@@ -205,22 +206,40 @@ def _plan(heights: np.ndarray, resolution: float, a: np.ndarray, bx, by, bz) -> 
         group_size = max(group_size, (e - g) * max(n_runs * run, n_runs + 1))
         member_size = max(member_size, int(bounds[e] - bounds[g]) * n_runs * run)
         run_size = max(run_size, (e - g) * n_runs)
-    sizes = (group_size, member_size, run_size)
-    return flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, sizes
+    # scratch sized for the largest pass and reused by every pass, since
+    # fresh arrays would page-fault on each pass; takes into it use
+    # mode="clip" because the default mode copies through a temporary
+    buf = SimpleNamespace(t=np.empty(group_size), pos=np.empty(group_size))
+    buf.cols, buf.cells = (np.empty(group_size, dtype=np.int64) for _ in range(2))
+    buf.low_rows = np.empty(run_size, dtype=np.int64)
+    buf.open = np.empty(run_size, dtype=bool)
+    if tables:
+        buf.high_rows = np.empty(run_size, dtype=np.int64)
+        buf.count, buf.tmp_count = (np.empty(run_size, dtype=tables[0].dtype) for _ in range(2))
+        buf.clear, buf.full = (np.empty(run_size, dtype=bool) for _ in range(2))
+    if not level:
+        shared_size = member_size if len(group_k) < len(order) else 0
+        buf.z, buf.roof_z = (np.empty(shared_size) for _ in range(2))
+        buf.below = np.empty(member_size, dtype=bool)
+    return flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, buf
 
 
-def _decide_runs(t, r, a, ux, uy, resolution: float, h_px: int, w_px: int, clear_table, full_table, buf):
+def _decide_runs(k0, n_runs, run, k_float, r, a, ux, uy, resolution, h_px, w_px, clear_table, full_table, buf):
     """Stage 1 of _blockage: the clear and the full masks of a pass's (runs, groups) block.
 
-    t is the (runs + 1, groups) block of each run's first t, then the last
-    run's end; group j samples ray r[j], a[r[j]] + t * (ux, uy)[r[j]], on an
-    h_px x w_px map.  A run is clear when its rectangle holds no pixel of
-    clear_table, and full when every pixel of it is in full_table, which is
-    clear_table itself on a level call.  buf is _blockage's scratch, t's own
-    buffer among it: its t, pos, cols, cells, low_rows and high_rows are
+    The pass cuts the samples from step k0 on into n_runs runs of run
+    samples; group j has K k_float[j] and samples ray r[j],
+    a[r[j]] + t * (ux, uy)[r[j]], on an h_px x w_px map.  Its run edges are
+    the (runs + 1, groups) block of t = (edge + 0.5) / K: each run's first
+    sample, then the last run's end.  A run is clear when its rectangle
+    holds no pixel of clear_table, and full when every pixel of it is in
+    full_table, which is clear_table itself on a level call.  buf is the
+    scratch of _plan: its t, pos, cols, cells, low_rows and high_rows are
     spent on return, and the masks live in its clear and full.
     """
-    shape = (len(t) - 1, t.shape[1])
+    shape = (n_runs, len(k_float))
+    edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
+    t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(buf.t, (n_runs + 1, len(k_float))))
     pos = _rows(buf.pos, t.shape)
     cols = _pixels(t, a[r, 0], ux[r], resolution, w_px, pos, _rows(buf.cols, t.shape))
     rows = _pixels(t, a[r, 1], uy[r], resolution, h_px, pos, _rows(buf.cells, t.shape))
@@ -308,10 +327,11 @@ def _blockage(
 
     _plan owns everything decided once per call: the lengths and K, z_lo
     and z_hi, the sorted members, groups and chunks, the level and no-table
-    rules, the tables and the scratch sizes; it frees its temporaries
-    before the tables and the scratch are allocated.  _decide_runs is stage
-    1, from a pass's run-edge t to its clear and full masks.  Stage 2,
-    sampling the runs left open, is the rest of the pass loop below.
+    rules, the tables and the scratch; it frees its temporaries before the
+    tables and the scratch are allocated.  _decide_runs is stage 1, from a
+    pass's first step, run count and run length to its run edges and its
+    clear and full masks.  Stage 2, sampling the runs left open, is the rest
+    of the pass loop below.
 
     Special cases, each with what removing it cost in paired runs on a 2-core Xeon host:
     - a level call gathers from a bool map of roofs above z_lo: 12-19%;
@@ -327,23 +347,7 @@ def _blockage(
     n_s, n_p = bz.shape
     h_px, w_px = heights.shape
     plan = _plan(heights, resolution, a, bx, by, bz)
-    flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, sizes = plan
-    group_size, member_size, run_size = sizes
-    # scratch sized for the largest chunk and reused by every pass, since
-    # fresh arrays would page-fault on each pass; takes into it use
-    # mode="clip" because the default mode copies through a temporary
-    buf = SimpleNamespace(t=np.empty(group_size), pos=np.empty(group_size))
-    buf.cols, buf.cells = (np.empty(group_size, dtype=np.int64) for _ in range(2))
-    buf.low_rows = np.empty(run_size, dtype=np.int64)
-    buf.open = np.empty(run_size, dtype=bool)
-    if tables:
-        buf.high_rows = np.empty(run_size, dtype=np.int64)
-        buf.count, buf.tmp_count = (np.empty(run_size, dtype=tables[0].dtype) for _ in range(2))
-        buf.clear, buf.full = (np.empty(run_size, dtype=bool) for _ in range(2))
-    if not level:
-        shared_size = member_size if len(group_k) < len(order) else 0
-        buf.z, buf.roof_z = (np.empty(shared_size) for _ in range(2))
-        buf.below = np.empty(member_size, dtype=bool)
+    flat_heights, ux, uy, order, bounds, group_k, group_ray, chunks, level, occupied, tables, buf = plan
     beta = np.empty((n_s, n_p), dtype=np.float64)
     for g, e, width in chunks:
         k = group_k[g:e]
@@ -367,9 +371,7 @@ def _blockage(
             shape = (n_runs, len(k))
             if tables:
                 # 1. decide each run from the pixels of its first sample and the next run's
-                edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
-                t = np.divide((edges + 0.5)[:, np.newaxis], k_float, out=_rows(buf.t, (n_runs + 1, len(k))))
-                clear, full = _decide_runs(t, r, a, ux, uy, resolution, h_px, w_px, *tables, buf)
+                clear, full = _decide_runs(k0, n_runs, run, k_float, r, a, ux, uy, resolution, h_px, w_px, *tables, buf)
             # samples of each run before its group's K and the pass's end, in stage 1's spent low rows
             starts = k0 + run * np.arange(n_runs)
             valid = np.subtract(np.minimum(k, k0 + n_steps), starts[:, np.newaxis], out=_rows(buf.low_rows, shape))
@@ -482,10 +484,16 @@ def blockage_ratio_batch(
 
 
 def blockage_ratio(scene_or_h, u_a, u_b) -> float:
-    """Blocked fraction of the direct 3D path between two points in [0, 1]."""
+    """Blocked fraction of the direct 3D path between two points in [0, 1].
+
+    Each endpoint is an (x, y, z) 3-vector in the map; any other shape is a
+    ValueError naming both shapes.
+    """
     h = scene_or_h.heightmap if isinstance(scene_or_h, Scene) else scene_or_h
     a = np.asarray(u_a, dtype=np.float64)
     b = np.asarray(u_b, dtype=np.float64)
+    if a.shape != (3,) or b.shape != (3,):
+        raise ValueError(f"endpoints u_a and u_b must both be (3,), got {a.shape} and {b.shape}")
     for p in (a, b):
         _check_in_map("endpoint", float(p[0]), float(p[1]), *h.extent)
     return float(blockage_ratio_batch(h.values, h.resolution, a[np.newaxis], b[np.newaxis])[0])

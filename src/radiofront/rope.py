@@ -54,13 +54,14 @@ class RopeConfig:
 
 def rotary_frequencies(d: int, theta_base: float = 10000.0) -> np.ndarray:
     """phi_j = theta_base^(-2(j-1)/d) for j = 1 .. d/2."""
+    _check("an integer >= 0", d=d)
+    _check("finite and > 0", theta_base=theta_base)
     return theta_base ** (-2.0 * np.arange(d // 2) / d)
 
 
 def rope_rotate_1d(q, m: float, theta_base: float = 10000.0) -> np.ndarray:
     """Rotate consecutive pairs of q by m * phi_j; preserves the norm."""
     _check("finite", m=m)
-    _check("finite and > 0", theta_base=theta_base)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size % 2:
         raise ValueError(f"vector length must be even, got shape {q.shape}")

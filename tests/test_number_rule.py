@@ -53,6 +53,7 @@ from radiofront import (
     subsample_order,
     zcurve_order,
 )
+from radiofront.rope import rotary_frequencies
 
 FINITE, POSITIVE, NON_NEGATIVE = "finite", "finite and > 0", "finite and >= 0"
 COUNT, INDEX = "an integer >= 1", "an integer >= 0"
@@ -144,6 +145,8 @@ CASES = [
     ]),
     ("z", FINITE, anchor_at, 2.0),
     ("f", POSITIVE, lambda v: fspl(10.0, v), 2.0**31),
+    ("d", INDEX, lambda v: rotary_frequencies(v, 100.0), 6),
+    ("theta_base", POSITIVE, lambda v: rotary_frequencies(6, v), 100.0),
 ]
 IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(CASES)]
 

@@ -10,7 +10,6 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +40,23 @@ from radiofront.synth import PRESETS
 CHUNK_RAYS = 2048  # rays sampled per batch in blockage_ratio_reference
 
 
+def reference_blocked(heights, res, a, b, steps, k):
+    """Which samples steps of the K = k rays a -> b are blocked: the kernel's per-sample rule, stated once.
+
+    a and b hold each ray's (x, y, z) on their last axis, and steps broadcasts
+    against k.  A step at or past K is masked before any position is computed
+    and counts as not blocked.
+    """
+    h_px, w_px = heights.shape
+    vec = b - a
+    valid = steps < k
+    t = np.where(valid, (steps + 0.5) / k, 0.0)
+    xs, ys, zs = (a[..., i, np.newaxis] + vec[..., i, np.newaxis] * t for i in range(3))
+    cols = np.clip((xs / res).astype(np.int64), 0, w_px - 1)
+    rows = np.clip((ys / res).astype(np.int64), 0, h_px - 1)
+    return (zs < heights[rows, cols]) & valid
+
+
 def blockage_ratio_reference(
     heights: np.ndarray,
     resolution: float,
@@ -50,27 +66,13 @@ def blockage_ratio_reference(
     """The blockage kernel before sorting: consecutive rays padded to the chunk's longest."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    h_px, w_px = heights.shape
-    vec = b - a
-    lengths = np.linalg.norm(vec, axis=1)
-    counts = _sample_counts(lengths, resolution)
+    counts = _sample_counts(np.linalg.norm(b - a, axis=1), resolution)
     beta = np.empty(len(a), dtype=np.float64)
     for lo in range(0, len(a), CHUNK_RAYS):
-        hi = min(lo + CHUNK_RAYS, len(a))
-        k = counts[lo:hi]
-        k_max = int(k.max())
-        # (P, k_max) fractional positions; entries beyond K_i are masked out
-        steps = np.arange(k_max, dtype=np.float64)[np.newaxis, :]
-        t = (steps + 0.5) / k[:, np.newaxis]
-        valid = steps < k[:, np.newaxis]
-        t = np.where(valid, t, 0.0)
-        xs = a[lo:hi, 0, np.newaxis] + vec[lo:hi, 0, np.newaxis] * t
-        ys = a[lo:hi, 1, np.newaxis] + vec[lo:hi, 1, np.newaxis] * t
-        zs = a[lo:hi, 2, np.newaxis] + vec[lo:hi, 2, np.newaxis] * t
-        cols = np.clip((xs / resolution).astype(np.int64), 0, w_px - 1)
-        rows = np.clip((ys / resolution).astype(np.int64), 0, h_px - 1)
-        blocked = (zs < heights[rows, cols]) & valid
-        beta[lo:hi] = blocked.sum(axis=1) / k
+        k = counts[lo : lo + CHUNK_RAYS, np.newaxis]
+        steps = np.arange(k.max(), dtype=np.float64)
+        blocked = reference_blocked(heights, resolution, a[lo : lo + CHUNK_RAYS], b[lo : lo + CHUNK_RAYS], steps, k)
+        beta[lo : lo + CHUNK_RAYS] = blocked.sum(axis=1) / k[:, 0]
     return beta
 
 
@@ -298,6 +300,21 @@ class TestBlockageRatio:
         expected = blockage_ratio_batch(np.array(heights, dtype=np.float64), 1.0, a, b)
         assert np.all((expected > 0) & (expected < 1))
         assert blockage_ratio_batch(heights, 1.0, a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "u_a, u_b, shapes",
+        [
+            ((1.0,), (2.0, 1.0, 1.0), "(1,) and (3,)"),
+            ((1.0, 1.0, 1.0), 2.0, "(3,) and ()"),
+            ([[1.0, 1.0, 1.0]], (2.0, 1.0, 1.0), "(1, 3) and (3,)"),
+        ],
+        ids=["one-coordinate", "scalar", "one-row"],
+    )
+    def test_an_endpoint_that_is_not_a_3_vector_is_named(self, u_a, u_b, shapes):
+        # the in-map check used to index the endpoints first: a bare IndexError or TypeError
+        hm = HeightMap(np.zeros((4, 4)), 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"endpoints u_a and u_b must both be (3,), got {shapes}")):
+            blockage_ratio(hm, u_a, u_b)
 
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
@@ -660,16 +677,6 @@ class TestLevelRule:
             assert np.array_equal(beta[s], blockage_ratio_reference(heights, res, a, target))
 
 
-def reference_blocked(heights, res, a, target, steps, k):
-    """Which of samples steps of the K = k ray a -> target are blocked, by blockage_ratio_reference's expressions."""
-    h_px, w_px = heights.shape
-    vec = target - a
-    t = (steps + 0.5) / k
-    cols = np.clip(((a[0] + vec[0] * t) / res).astype(np.int64), 0, w_px - 1)
-    rows = np.clip(((a[1] + vec[1] * t) / res).astype(np.int64), 0, h_px - 1)
-    return (a[2] + vec[2] * t) < heights[rows, cols]
-
-
 class TestStageOne:
     """_decide_runs on its own: a run it marks clear has no blocked sample, and one it marks full
     has every sample before K blocked."""
@@ -702,24 +709,17 @@ class TestStageOne:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "SAMPLE_BUDGET", budget)
             mp.setattr(propagation, "RUN_LENGTH", run_length)
-            _, ux, uy, order, bounds, group_k, group_ray, chunks, _, _, tables, sizes = propagation._plan(
+            _, ux, uy, order, bounds, group_k, group_ray, chunks, _, _, tables, buf = propagation._plan(
                 heights, res, a, b[:, 0], b[:, 1], bz
             )
             assume(tables)
-            group_size, _, run_size = sizes
-            # the scratch _decide_runs takes, sized as _blockage sizes it
-            buf = SimpleNamespace(t=np.empty(group_size), pos=np.empty(group_size))
-            buf.cols, buf.cells = (np.empty(group_size, dtype=np.int64) for _ in range(2))
-            buf.low_rows, buf.high_rows = (np.empty(run_size, dtype=np.int64) for _ in range(2))
-            buf.count, buf.tmp_count = (np.empty(run_size, dtype=tables[0].dtype) for _ in range(2))
-            buf.clear, buf.full = (np.empty(run_size, dtype=bool) for _ in range(2))
             for g, e, width in chunks:
                 k, r = group_k[g:e], group_ray[g:e]
                 for k0 in range(0, int(k[-1]), width):
                     n_runs, run = propagation._runs(min(width, int(k[-1]) - k0))
-                    edges = np.arange(k0, k0 + n_runs * run + 1, run, dtype=np.float64)
-                    t = (edges + 0.5)[:, np.newaxis] / k.astype(np.float64)
-                    clear, full = propagation._decide_runs(t, r, a, ux, uy, res, h_px, w_px, *tables, buf)
+                    clear, full = propagation._decide_runs(
+                        k0, n_runs, run, k.astype(np.float64), r, a, ux, uy, res, h_px, w_px, *tables, buf
+                    )
                     for i, j in zip(*np.nonzero(clear | full)):
                         steps = k0 + run * i + np.arange(run)
                         steps = steps[steps < k[j]].astype(np.float64)
