@@ -12,6 +12,10 @@ value (named with its file and key) or flag ends the run with one ``error:``
 line.  Options left unset are not passed on, so the defaults live only in
 the library objects: TxConfig, RxConfig, OrderParams, GradLossConfig,
 CityParams, the presets and the functions they feed.
+
+Only grids is imported up front (it holds the parser's choice lists too);
+each subcommand imports the layers it runs, so a child process loads no
+other module.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +30,9 @@ import numpy as np
 
 from . import __version__
 from .grids import (
+    ORDER_KINDS,
+    PATHLOSS_RANGES,
+    PRESET_NAMES,
     HeightMap,
     RadioField,
     RxConfig,
@@ -45,24 +51,6 @@ from .grids import (
     save_grid,
     write_table,
 )
-from .propagation import anchor_map, anchor_volume
-from .ordering import (
-    GEOMETRIC_ORDERS,
-    ORDER_KINDS,
-    OrderParams,
-    PatchGrid,
-    bruteforce_costs,
-    load_order,
-    prior_pl_order,
-    save_costs_csv,
-    save_order,
-    true_pl_order,
-    verify_predecessor_containment,
-    wavefront_order,
-)
-from .entropy import delta_h_map, entropy_profile, load_trace
-from .metrics import GradLossConfig, grad3d_loss, nmse, psnr, rmse_db, ssim
-from .synth import CityParams, PATHLOSS_RANGES, PRESETS, gen_field, gen_scene
 
 CONFIG_ENV = "RADIOFRONT_CONFIG"
 
@@ -183,6 +171,8 @@ def _add_scene_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_anchor(args) -> int:
+    from .propagation import anchor_map, anchor_volume
+
     scene = _scene_from_args(args)
     anchor = anchor_volume(scene) if args.volume else anchor_map(scene)
     save_grid(anchor, args.out)
@@ -194,12 +184,27 @@ def cmd_anchor(args) -> int:
 
 def _oracle_verdict(scene: Scene, patches: PatchGrid, params, costs) -> tuple[float, bool]:
     """Bellman-Ford's max relative cost gap to costs, and whether its costs and predecessors are bit-identical."""
-    bf = bruteforce_costs(scene, patches, params)
+    from . import ordering
+
+    bf = ordering.bruteforce_costs(scene, patches, params)
     gap = float(np.max(np.abs(bf.d - costs.d) / (1.0 + costs.d)))
     return gap, np.array_equal(bf.d, costs.d) and np.array_equal(bf.pred, costs.pred)
 
 
 def cmd_order(args) -> int:
+    from .propagation import anchor_map
+    from .ordering import (
+        GEOMETRIC_ORDERS,
+        OrderParams,
+        PatchGrid,
+        prior_pl_order,
+        save_costs_csv,
+        save_order,
+        true_pl_order,
+        verify_predecessor_containment,
+        wavefront_order,
+    )
+
     scene = _scene_from_args(args)
     patches = PatchGrid.for_scene(scene, **_given(patch_px=args.patch_px))
     params = OrderParams(
@@ -239,6 +244,9 @@ def cmd_order(args) -> int:
 
 def cmd_entropy(args) -> int:
     """Checks every flag and computes every result before it prints or writes anything."""
+    from .entropy import delta_h_map, entropy_profile, load_trace
+    from .ordering import load_order
+
     for flag, value in (("--delta-out", args.delta_out), ("--order-b", args.order_b)):
         if value and not args.trace_b:
             raise ValueError(f"{flag} needs --trace-b")
@@ -268,6 +276,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import GradLossConfig, grad3d_loss, nmse, psnr, rmse_db, ssim
+
     pred = _load_any_grid(args.pred, RadioField)
     gt = _load_any_grid(args.gt, RadioField)
     if pred.unit != gt.unit:
@@ -301,6 +311,8 @@ def cmd_metrics(args) -> int:
 
 
 def _synth_one(args, seed: int, out_dir: Path) -> None:
+    from .synth import PRESETS, CityParams, gen_field, gen_scene
+
     out_dir.mkdir(parents=True, exist_ok=True)
     rx = RxConfig(**_given(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz))
     tx_fields = _given(f=args.freq)
@@ -331,6 +343,8 @@ def _synth_one(args, seed: int, out_dir: Path) -> None:
 
 
 def cmd_synth(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     _check("an integer >= 1", **{"--count": args.count, "--jobs": args.jobs})
     base = Path(args.out_dir)
     jobs = [(args.seed + k, base / f"scene_{k:03d}" if args.count > 1 else base)
@@ -346,6 +360,8 @@ def cmd_synth(args) -> int:
 
 
 def _suite_ordering(rng) -> None:
+    from .ordering import PatchGrid, verify_predecessor_containment, wavefront_order
+
     for _ in range(5):
         heights = (rng.random((32, 32)) < 0.25) * rng.uniform(5, 30, (32, 32))
         scene = Scene(
@@ -476,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic scenes and fields")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--preset", choices=sorted(PRESETS), help="edge|canyon|sparse layout")
+    p.add_argument("--preset", choices=sorted(PRESET_NAMES), help="edge|canyon|sparse layout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1, help="number of scenes")
     p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")

@@ -18,20 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFormatError, ValidationError, _check, _fields_equal, _held, _without_held, read_container, write_container
+from .grids import GridFormatError, ValidationError, _check, _fields_equal, _held, _without_held, read_container, shannon_entropy, write_container
 from .ordering import NO_PRED, CostField, OrderPi
 
 LTR_MAGIC = b"LTR1"
 _LTR1_FMT = "<II"  # n_steps, vocab
 LN2 = float(np.log(2.0))
 _BLOCK_LOGITS = 1 << 15  # logits per row block of the step-entropy kernel (256 KB of float64)
-
-
-def shannon_entropy(p) -> float:
-    """-sum(p log p) over the cells of a probability array; zero cells add 0."""
-    p = np.asarray(p).ravel()
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
 
 
 def _entropies(logits: np.ndarray, base2: bool) -> np.ndarray:

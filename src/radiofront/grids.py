@@ -16,6 +16,11 @@ float32 values.  The RGF1 header is u8 unit tag (0=meters, 1=dB,
 bytes with the magic; the width*height*depth values are row-major within a
 slice, slices outermost.  Data built from float32 round-trips bit-exactly.
 Text reports share the row format of write_table.
+
+This is the layer every other module and the CLI load, so it also holds
+what they share: the number rule, held results, shannon_entropy and the
+names the CLI offers as choices (order kinds, preset layouts, pathloss
+profiles).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import struct
 import threading
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -44,6 +50,17 @@ NORM_LO_DB = -47.0
 NORM_HI_DB = -169.0
 
 _CSV_HEADER = ["x", "y", "z", "value"]
+_CSV_ROW = np.dtype([("x", "<i8"), ("y", "<i8"), ("z", "<i8"), ("value", "<f8")])
+
+# dataset pathloss range (top, bottom) in dB, by profile name
+PATHLOSS_RANGES = {
+    "radiomapseer": (-47.0, -147.0),
+    "radiomap3dseer": (-75.0, -111.0),
+    "urbanradio3d": (-92.0, -169.0),
+}
+PRESET_NAMES = ("edge", "canyon", "sparse", "serpentine")  # synth.PRESETS, in this order
+GEOMETRIC_KINDS = ("raster", "hilbert", "zcurve", "subsample", "alternative")  # ordering.GEOMETRIC_ORDERS
+ORDER_KINDS = ("wavefront", "priorPL", "truePL", *GEOMETRIC_KINDS, "custom")
 
 
 class ValidationError(ValueError):
@@ -102,6 +119,13 @@ def _check_grid(values: np.ndarray, resolution: float, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{what} contains NaN or infinite values")
     _check("finite and > 0", resolution=resolution)
+
+
+def shannon_entropy(p) -> float:
+    """-sum(p log p) over the cells of a probability array; zero cells add 0."""
+    p = np.asarray(p).ravel()
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
 
 
 def _fields_equal(self, other) -> bool:
@@ -442,16 +466,40 @@ def load_grid(path: str | Path) -> HeightMap | RadioField:
     return _grid(path, _TAG_UNITS[tag], values, float(resolution))
 
 
-def grid_from_csv(
-    path: str | Path, unit: str = UNIT_DB, resolution: float = 1.0
-) -> HeightMap | RadioField:
-    """Import a dense grid from UTF-8 CSV with header ``x,y,z,value``.
+def _csv_rows_c(path: str | Path) -> np.ndarray | None:
+    """The data rows of a grid CSV through numpy's C parser, or None for the loop to read.
 
-    x is the column index, y the row index, z the slice index.  Each row
-    holds exactly these four fields.  Every cell of the implied (z, y, x) box
-    must be present exactly once, with a finite value (and a non-negative one
-    for meters).
+    The parser takes less than the loop (no quotes, no underscores, ASCII
+    digits, int64 only) and gives the same numbers, but it skips blank lines
+    and has no field-size limit.  So any exception, a line longer than csv's
+    field limit, a header the loop would read otherwise or a line count
+    other than the rows + 1 returns None.  A file without data rows never
+    reaches the parser, which would warn: warning filters are process-wide,
+    so this function changes none.
     """
+    limit, n_lines = csv.field_size_limit(), 0
+
+    def lines(fh):
+        nonlocal n_lines
+        for n_lines, line in enumerate(fh, 1):
+            if len(line) > limit:
+                raise ValueError("line beyond the csv field limit")
+            yield line
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            body = lines(fh)
+            header, first = next(body), next(body, "")
+            if not first or [c.strip().lower() for c in header.split(",")] != _CSV_HEADER:
+                return None
+            rows = np.loadtxt(chain([first], body), dtype=_CSV_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except Exception:  # the loop reads, or refuses, whatever the parser does not take
+        return None
+    return rows if n_lines == len(rows) + 1 else None
+
+
+def _csv_rows_loop(path: str | Path) -> tuple[np.ndarray, np.ndarray, array]:
+    """(x, y, z) cells, values and line numbers of a grid CSV's data rows, read row by row."""
     cells, vals, lines = array("q"), array("d"), array("q")  # cells: x, y, z per row
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -478,18 +526,38 @@ def grid_from_csv(
         raise GridFormatError(f"{path}: expected CSV header 'x,y,z,value'")
     if not vals:
         raise GridFormatError(f"{path}: no data rows")
+    return np.frombuffer(cells, dtype=np.int64).reshape(-1, 3), np.frombuffer(vals), lines
+
+
+def grid_from_csv(
+    path: str | Path, unit: str = UNIT_DB, resolution: float = 1.0
+) -> HeightMap | RadioField:
+    """Import a dense grid from UTF-8 CSV with header ``x,y,z,value``.
+
+    x is the column index, y the row index, z the slice index.  Each row
+    holds exactly these four fields.  Every cell of the implied (z, y, x) box
+    must be present exactly once, with a finite value (and a non-negative one
+    for meters).
+
+    numpy's C parser reads the file first; a file it cannot vouch for is
+    read again by a csv-module loop, whose refusal names the line.  Both
+    give the same grid or the same error.
+    """
+    rows = _csv_rows_c(path)
+    if rows is None:
+        xyz, vals, lines = _csv_rows_loop(path)
+    else:  # one row per line after the header; the int64 and float64 fields share one 8-byte stride
+        xyz, vals, lines = rows.view(np.int64).reshape(-1, 4)[:, :3], rows["value"], range(2, len(rows) + 2)
 
     def reject_first(bad: np.ndarray, what: str) -> None:
         if bad.any():
             raise GridFormatError(f"{path}: line {lines[int(np.argmax(bad))]}: {what}")
 
-    vals = np.frombuffer(vals)
     reject_first(~np.isfinite(vals), "value is not finite")
     if unit == UNIT_METERS:
         reject_first(vals < 0, "building height is negative")
     if unit == UNIT_NORM01:
         reject_first((vals < 0) | (vals > 1), "normalized value outside [0, 1]")
-    xyz = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3)
     reject_first((xyz < 0).any(axis=1), "negative cell index")
     width, height, depth = (int(m) + 1 for m in xyz.max(axis=0))
     if len(vals) != width * height * depth:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import shannon_entropy
-from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, _check, normalize_db
+from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, _check, normalize_db, shannon_entropy
 
 
 def _values(fld, expect_unit: str | None = None, what: str = "field") -> np.ndarray:

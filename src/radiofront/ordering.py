@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, Scene, ValidationError, _cell, _check, _check_in_map, _fields_equal, _held, atomic_write, write_table
+from .grids import GEOMETRIC_KINDS, ORDER_KINDS, HeightMap, RadioField, Scene, ValidationError, _cell, _check, _check_in_map, _fields_equal, _held, atomic_write, write_table
 from .propagation import blockage_ratio_batch, pixel_centers
 
 NO_PRED = -1
@@ -479,14 +479,7 @@ def subsample_order(n_side: int) -> OrderPi:
     return OrderPi(np.lexsort((c, r, first)), "subsample")
 
 
-GEOMETRIC_ORDERS = {
-    "raster": raster_order,
-    "hilbert": hilbert_order,
-    "zcurve": zcurve_order,
-    "subsample": subsample_order,
-    "alternative": alternative_order,
-}
-ORDER_KINDS = ("wavefront", "priorPL", "truePL", *GEOMETRIC_ORDERS, "custom")
+GEOMETRIC_ORDERS = dict(zip(GEOMETRIC_KINDS, (raster_order, hilbert_order, zcurve_order, subsample_order, alternative_order), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ def load_order(path: str | Path) -> OrderPi:
         if not (isinstance(doc, dict) and {"kind", "np", "perm"} <= doc.keys()):
             raise ValidationError("expected a JSON object with kind, np and perm")
         perm = doc["perm"]
-        if not (isinstance(perm, list) and all(type(v) is int for v in perm)):
+        if not (isinstance(perm, list) and {int}.issuperset(map(type, perm))):
             raise ValidationError("perm must be a list of integers")
         order = OrderPi(np.array(perm, dtype=np.int64), doc["kind"], doc.get("params", {}))
         if order.n_side != doc["np"]:

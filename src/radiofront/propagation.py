@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grids import RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _check, _check_in_map, _held
+from .grids import HeightMap, RadioField, Scene, UNIT_DB, TxConfig, ValidationError, _check, _check_in_map, _held
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0  # 10*log10(k_B * 290 K) in dBm/Hz
@@ -486,10 +486,12 @@ def blockage_ratio_batch(
 def blockage_ratio(scene_or_h, u_a, u_b) -> float:
     """Blocked fraction of the direct 3D path between two points in [0, 1].
 
-    Each endpoint is an (x, y, z) 3-vector in the map; any other shape is a
-    ValueError naming both shapes.
+    scene_or_h is a Scene or a HeightMap.  Each endpoint is an (x, y, z)
+    3-vector in the map; any other shape is a ValueError naming both shapes.
     """
     h = scene_or_h.heightmap if isinstance(scene_or_h, Scene) else scene_or_h
+    if not isinstance(h, HeightMap):
+        raise ValidationError(f"scene_or_h must be a Scene or HeightMap, got {type(scene_or_h).__name__}")
     a = np.asarray(u_a, dtype=np.float64)
     b = np.asarray(u_b, dtype=np.float64)
     if a.shape != (3,) or b.shape != (3,):

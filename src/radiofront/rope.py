@@ -55,6 +55,8 @@ class RopeConfig:
 def rotary_frequencies(d: int, theta_base: float = 10000.0) -> np.ndarray:
     """phi_j = theta_base^(-2(j-1)/d) for j = 1 .. d/2."""
     _check("an integer >= 0", d=d)
+    if d % 2:
+        raise ValueError(f"d must be even, got {d}")
     _check("finite and > 0", theta_base=theta_base)
     return theta_base ** (-2.0 * np.arange(d // 2) / d)
 

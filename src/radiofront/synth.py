@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError, _check
+from .grids import PRESET_NAMES, HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError, _check
 from .metrics import _windowed_mean
 from .propagation import anchor_volume
 
-# pathloss range (top, bottom) and building height envelopes per dataset
-PATHLOSS_RANGES = {
-    "radiomapseer": (-47.0, -147.0),
-    "radiomap3dseer": (-75.0, -111.0),
-    "urbanradio3d": (-92.0, -169.0),
-}
+# building height envelope per dataset; grids holds their pathloss ranges
 HEIGHT_RANGES = {
     "radiomapseer": (25.0, 25.0),
     "radiomap3dseer": (6.6, 19.8),
@@ -277,9 +272,4 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     return Scene(HeightMap(hm, resolution), TxConfig(tx_x, tx_y))
 
 
-PRESETS = {
-    "edge": preset_edge_tx,
-    "canyon": preset_urban_canyon,
-    "sparse": preset_sparse,
-    "serpentine": preset_serpentine,
-}
+PRESETS = dict(zip(PRESET_NAMES, (preset_edge_tx, preset_urban_canyon, preset_sparse, preset_serpentine), strict=True))

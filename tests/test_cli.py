@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import radiofront
+import radiofront.ordering
 from radiofront import (
     CostField,
     HeightMap,
@@ -67,7 +67,7 @@ def tx_flags(city):
 
 def off_by_one(field):
     """bruteforce_costs with the last cost one ulp higher or the last predecessor moved."""
-    real = radiofront.cli.bruteforce_costs
+    real = radiofront.ordering.bruteforce_costs
 
     def fake(*args):
         bf = real(*args)
@@ -153,7 +153,7 @@ class TestOrderCommand:
     def test_verify_fails_unless_oracle_is_bit_identical(
         self, tmp_path, city, capsys, monkeypatch, field
     ):
-        monkeypatch.setattr(radiofront.cli, "bruteforce_costs", off_by_one(field))
+        monkeypatch.setattr(radiofront.ordering, "bruteforce_costs", off_by_one(field))
         out = str(tmp_path / "o.json")
         assert main(["order", *tx_flags(city), "--patch-px", "8", "--out", out, "--verify"]) == 1
         assert " (FAIL)\n" in capsys.readouterr().out
@@ -676,6 +676,70 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert run.stdout.splitlines()[-1] == "[]", run.stdout
 
 
+
+# the radiofront modules each subcommand's process loads, besides the package and cli
+SUBCOMMAND_MODULES = {
+    "synth": ["grids", "metrics", "propagation", "synth"],
+    "anchor": ["grids", "propagation"],
+    "order": ["grids", "ordering", "propagation"],
+    "metrics": ["grids", "metrics"],
+    "entropy": ["entropy", "grids", "ordering", "propagation"],
+}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    save_trace(LogitTrace(np.random.default_rng(0).normal(size=(16, 5))), tmp_path / "t.ltr")
+    save_order(raster_order(4), tmp_path / "o.json")
+    d = str(tmp_path)
+    scene = ["--manifest", f"{d}/s/scene.txt"]
+    runs = {
+        "synth": ["--out-dir", f"{d}/s", "--side-px", "16", "--n-z", "2", "--n-buildings", "2",
+                  "--footprint-range", "2,5", "--smooth-sigma", "1"],
+        "anchor": [*scene, "--volume", "--out", f"{d}/a.rgf", "--csv", f"{d}/a.csv"],
+        "order": [*scene, "--patch-px", "4", "--verify", "--out", f"{d}/order.json"],
+        "metrics": ["--pred", f"{d}/a.csv", "--gt", f"{d}/s/field.rgf", "--report", f"{d}/r.csv"],
+        "entropy": ["--trace", f"{d}/t.ltr", "--order", f"{d}/o.json", "--trace-b", f"{d}/t.ltr",
+                    "--order-b", f"{d}/o.json"],
+    }
+    loaded = {}
+    for sub, argv in runs.items():
+        run = run_fresh_python(f"""
+import sys
+from radiofront.cli import main
+assert main({[sub, *argv]!r}) == 0
+print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("radiofront.") and m != "radiofront.cli"))
+""")
+        assert run.returncode == 0, run.stderr
+        loaded[sub] = eval(run.stdout.splitlines()[-1])
+    assert loaded == SUBCOMMAND_MODULES
+
+
+@pytest.mark.parametrize("first", ["attribute", "from-import"])
+def test_every_exported_name_resolves_lazily(first):
+    # a fresh process, so each name goes through the package's __getattr__ first
+    run = run_fresh_python(f"""
+import importlib, sys
+import radiofront as rf
+assert [m for m in sys.modules if m.startswith("radiofront.")] == []
+assert dir(rf) == sorted(set(rf.__all__)) and len(rf.__all__) == len(set(rf.__all__))
+for name in rf.__all__:
+    scope = {{}}
+    if {first!r} == "attribute":
+        value = getattr(rf, name)
+        exec(f"from radiofront import {{name}}", scope)
+    else:
+        exec(f"from radiofront import {{name}}", scope)
+        value = getattr(rf, name)
+    owner = importlib.import_module("radiofront." + rf._MODULE_OF[name])
+    assert scope[name] is value is getattr(owner, name), name
+try:
+    rf.no_such_name
+except AttributeError as exc:
+    print(exc)
+""")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "module 'radiofront' has no attribute 'no_such_name'\n"
+
 class TestSelftestCommand:
     def test_all_suites_pass(self, capsys):
         assert main(["selftest"]) == 0
@@ -685,7 +749,7 @@ class TestSelftestCommand:
 
     @pytest.mark.parametrize("field", ["d", "pred"])
     def test_ordering_suite_demands_bit_identity(self, capsys, monkeypatch, field):
-        monkeypatch.setattr(radiofront.cli, "bruteforce_costs", off_by_one(field))
+        monkeypatch.setattr(radiofront.ordering, "bruteforce_costs", off_by_one(field))
         assert main(["selftest"]) == 1
         assert "FAIL ordering: wavefront and bellman-ford" in capsys.readouterr().out
 

@@ -5,12 +5,15 @@ import dataclasses
 import pickle
 import re
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radiofront import (
     CostField,
@@ -41,6 +44,7 @@ from radiofront import (
     save_trace,
     wavefront_order,
 )
+from radiofront import grids
 from radiofront.grids import _HELD, atomic_write
 
 
@@ -514,6 +518,102 @@ class TestCsv:
         p.write_bytes(b"x,y,z,value\n0,0,0,1.0\xff\n")
         with pytest.raises(GridFormatError, match="latin.csv: not UTF-8"):
             grid_from_csv(p)
+
+    def test_an_export_takes_the_c_parser(self, tmp_path):
+        grid_to_csv(RadioField(np.full((2, 2, 3), -75.0), UNIT_DB), tmp_path / "f.csv")
+        rows = grids._csv_rows_c(tmp_path / "f.csv")
+        assert rows is not None and len(rows) == 12
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,y,z,value\n",  # header only: numpy would warn "input contained no data"
+            "x,y,z,value\n0,0,0,1.0\n\n",  # a blank line, which numpy skips
+            "x,y,z,value\r0,0,0,1.0\r\r",  # a lone \r ends a line, so this is a blank line too
+            '"x",y,z,value\n0,0,0,1.0\n',  # quotes
+            '\ufeffx,y,z,value\n0,0,0,1.0\n',  # a BOM before the header
+            "x,y,z,value\n0,0,0,1_000\n",
+            f"x,y,z,value\n0,0,0,{'0' * 131072}1.5\n",  # beyond csv's field limit, which the loop keeps
+        ],
+        ids=["header-only", "blank-line", "lone-cr", "quotes", "bom", "underscore", "long-field"],
+    )
+    def test_what_the_c_parser_cannot_vouch_for_goes_to_the_loop(self, tmp_path, text):
+        (tmp_path / "f.csv").write_bytes(text.encode())
+        assert grids._csv_rows_c(tmp_path / "f.csv") is None
+
+
+# Cells the C parser and the loop might read differently: each one the two
+# paths must read alike, or refuse with the same message.
+CELL_TOKENS = ["+1", "-0", " 1", "1 ", "\t1", "01", "1_0", "1.0", "1e0", '"1"', "", "0x1", "\uff11",
+               "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+VALUE_TOKENS = ["+.5", "1.", "-0.0", "5e-324", "2.2250738585072014e-308", "1e400", "nan", "-inf",
+                "1_000", " 2.5 ", "\t3", '"3"', "", "x", "0x1p3", "1e", "\u0663", "Infinity", "1.5\x00"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+HEADERS = ["x,y,z,value", " X , y,z,VALUE ", '"x",y,z,value', "\ufeffx,y,z,value", "x,y,z", "a,b,c,d"]
+
+
+@st.composite
+def grid_csv_texts(draw):
+    """A grid CSV of up to 3x2x2 cells in any row order, then up to three faults."""
+    w, h, d = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cells = draw(st.permutations([(x, y, z) for z in range(d) for y in range(h) for x in range(w)]))
+    values = st.one_of(st.floats().map(repr), st.sampled_from(VALUE_TOKENS))
+    rows = [[str(x), str(y), str(z), draw(values)] for x, y, z in cells]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        fault = draw(st.sampled_from(["cell", "value", "blank", "drop", "repeat", "short", "long"]))
+        if fault == "blank":
+            rows.insert(at, [""])
+        elif at == len(rows):
+            continue
+        elif fault == "cell":
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.sampled_from(CELL_TOKENS))
+        elif fault == "value":
+            rows[at][-1] = draw(st.sampled_from(VALUE_TOKENS))
+        elif fault == "drop":
+            del rows[at]
+        elif fault == "repeat":
+            rows.insert(at, list(rows[at]))
+        else:
+            rows[at] = rows[at][:3] if fault == "short" else rows[at] + ["0"]
+    header = draw(st.one_of(st.just(HEADERS[0]), st.sampled_from(HEADERS)))
+    lines = [header, *(",".join(r) for r in rows)]
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))[: None if draw(st.booleans()) else -1]
+
+
+def _csv_outcome(path, unit):
+    """The grid read from path, as (class, unit, bytes of its values), or the refusal's message."""
+    try:
+        grid = grid_from_csv(path, unit=unit)
+    except GridFormatError as exc:
+        return str(exc)
+    return type(grid).__name__, getattr(grid, "unit", UNIT_METERS), grid.values.shape, grid.values.tobytes()
+
+
+@settings(max_examples=400)
+@given(text=grid_csv_texts(), unit=st.sampled_from([UNIT_DB, UNIT_METERS, UNIT_NORM01]))
+@example(text="x,y,z,value\n0,0,0,1.0\n\n1,0,0,2.0\n", unit=UNIT_DB)  # blank line
+@example(text="x,y,z,value\r0,0,0,1.0\r\r1,0,0,2.0\r", unit=UNIT_DB)  # lone \r
+@example(text='x,y,z,value\n"0",0,0,"1.5"\n', unit=UNIT_DB)  # quotes
+@example(text="x,y,z,value\n0,0,0,+.5\n1,0,0,1.\n", unit=UNIT_NORM01)
+@example(text="x,y,z,value\n0,0,0,1_000\n1_0,0,0,1\n", unit=UNIT_METERS)
+@example(text="x,y,z,value\n0,0,0,-0.0\n1,0,0,0.0\n", unit=UNIT_METERS)
+@example(text="x,y,z,value\n0,0,0,5e-324\n1,0,0,2.225073858507201e-308\n", unit=UNIT_DB)
+@example(text="x,y,z,value\n0,0,0,1.0\n9223372036854775808,0,0,2.0\n", unit=UNIT_DB)
+@example(text="x,y,z,value\r\n 0 ,\t0, 0 , 1.5 \r\n", unit=UNIT_DB)  # padded spaces
+@example(text="x,y,z,value\r\n", unit=UNIT_DB)  # header only
+@example(text="\ufeffx,y,z,value\n0,0,0,1.0\n", unit=UNIT_DB)  # BOM
+@example(text=f"x,y,z,value\n0,0,0,{'0' * 131072}1.5\n", unit=UNIT_DB)  # past csv's field limit
+def test_c_parser_and_loop_give_the_same_grid_or_error(text, unit):
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning from either path fails the example
+        path = Path(d) / "grid.csv"
+        path.write_bytes(text.encode())
+        fast = _csv_outcome(path, unit)
+        with mock.patch.object(grids, "_csv_rows_c", lambda path: None):
+            loop = _csv_outcome(path, unit)
+    assert fast == loop
 
 
 NAN_F32 = np.array([np.nan], dtype="<f4").tobytes()

@@ -3,11 +3,14 @@
 import gc
 import heapq
 import itertools
+import json
 import pickle
 import re
+import tempfile
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -839,6 +842,14 @@ class TestSampleTrainingOrder:
         assert sample_training_order(7, [only]) is only
 
 
+# JSON values of every type: a bool, a float, a string, null or a list is no perm entry
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestOrderFiles:
     def test_roundtrip(self, tmp_path):
         sc = wall_scene()
@@ -902,6 +913,24 @@ class TestOrderFiles:
         p.write_text(text)
         with pytest.raises(ValidationError, match="bad.json"):
             load_order(p)
+
+    @settings(max_examples=300)
+    @given(ints=st.lists(st.integers(), max_size=6), others=st.lists(JSON_VALUES, max_size=2), data=st.data())
+    def test_perm_type_check_agrees_with_the_per_entry_loop(self, ints, others, data):
+        # the reference: the per-entry Python loop over the entry types
+        perm = list(ints)
+        for value in others:
+            perm.insert(data.draw(st.integers(0, len(perm))), value)
+        loop_refuses = not all(type(v) is int for v in perm)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "o.json"
+            path.write_text(json.dumps({"kind": "custom", "np": 2, "perm": perm}))
+            try:
+                load_order(path)
+                refused = False
+            except ValidationError as exc:
+                refused = str(exc) == f"{path}: perm must be a list of integers"
+        assert refused == loop_refuses
 
     def test_costs_csv_rows(self, tmp_path):
         sc = wall_scene()

@@ -316,6 +316,12 @@ class TestBlockageRatio:
         with pytest.raises(ValueError, match=re.escape(f"endpoints u_a and u_b must both be (3,), got {shapes}")):
             blockage_ratio(hm, u_a, u_b)
 
+    @pytest.mark.parametrize("grid", [np.zeros((4, 4)), [[0.0] * 4] * 4, None], ids=["array", "list", "none"])
+    def test_a_bare_grid_is_refused_by_name(self, grid):
+        # blockage_ratio_batch takes the height array itself; this one reads the map's extent
+        with pytest.raises(ValidationError, match="^scene_or_h must be a Scene or HeightMap, got "):
+            blockage_ratio(grid, (1.0, 1.0, 1.0), (2.0, 1.0, 1.0))
+
     def test_out_of_bounds(self):
         sc = flat_scene(side=8)
         with pytest.raises(ValueError, match="extent"):

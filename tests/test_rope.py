@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radiofront import RopeConfig, rope_rotate_1d, rope_rotate_3d, split_axis_dims
+from radiofront.rope import rotary_frequencies
 
 
 class TestSplitAxisDims:
@@ -72,6 +73,16 @@ class TestRope1d:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             rope_rotate_1d(np.zeros(5), 1)
+
+    @pytest.mark.parametrize("d", [1, 5, 63])
+    def test_frequencies_of_an_odd_dim_are_refused(self, d):
+        # pairs of an odd dim leave one element over, as an odd vector or head does
+        with pytest.raises(ValueError, match=f"^d must be even, got {d}$"):
+            rotary_frequencies(d, 100.0)
+
+    def test_frequencies_of_an_even_dim(self):
+        assert rotary_frequencies(0).shape == (0,)
+        assert rotary_frequencies(4, 100.0).tolist() == [1.0, 0.1]
 
 
 class TestRope3d:
