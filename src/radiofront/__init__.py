@@ -12,7 +12,9 @@ Library layers, each importing only the layers listed above it that it uses:
 
 The package is lazy: `import radiofront` loads none of them, and a name
 below loads its module on first use (PEP 562), so a process pays only for
-the layers it touches.
+the layers it touches.  The package keeps no copy of a name: `radiofront.X`
+is always what X's module holds now, so a binding patched there (by a test
+or a tracer) and restored is seen restored here too.
 """
 
 import importlib
@@ -21,7 +23,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "grids": (
-        "GridFormatError", "HeightMap", "PATHLOSS_RANGES", "RadioField", "RxConfig", "Scene",
+        "GridFormatError", "HeightMap", "RadioField", "RxConfig", "Scene",
         "TxConfig", "UNIT_DB", "UNIT_METERS", "UNIT_NORM01", "ValidationError", "denormalize_db",
         "grid_from_csv", "grid_to_csv", "load_grid", "normalize_db", "rasterize_tx", "save_grid",
     ),
@@ -47,8 +49,9 @@ _EXPORTS = {
         "vertical_grad_error_cdf",
     ),
     "synth": (
-        "CityParams", "GenerationError", "PRESETS", "dataset_profile", "gen_city", "gen_field",
-        "gen_scene", "preset_edge_tx", "preset_serpentine", "preset_sparse", "preset_urban_canyon",
+        "CityParams", "GenerationError", "PATHLOSS_RANGES", "PRESETS", "dataset_profile", "gen_city",
+        "gen_field", "gen_scene", "preset_edge_tx", "preset_serpentine", "preset_sparse",
+        "preset_urban_canyon",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -56,11 +59,10 @@ __all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    """Load the module that owns name, and keep the value so the next lookup is direct."""
+    """The value name has in the module that owns it, loading that module on first use."""
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    return value
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .grids import (
     ORDER_KINDS,
-    PATHLOSS_RANGES,
+    PATHLOSS_PROFILES,
     PRESET_NAMES,
     HeightMap,
     RadioField,
@@ -311,7 +311,7 @@ def cmd_metrics(args) -> int:
 
 
 def _synth_one(args, seed: int, out_dir: Path) -> None:
-    from .synth import PRESETS, CityParams, gen_field, gen_scene
+    from .synth import PATHLOSS_RANGES, PRESETS, CityParams, gen_field, gen_scene
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rx = RxConfig(**_given(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz))
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz", type=float)
     p.add_argument("--noise-sigma", type=float, help="dB noise std")
     p.add_argument("--smooth-sigma", type=float, help="gaussian blur, px")
-    p.add_argument("--clamp-profile", choices=sorted(PATHLOSS_RANGES), help="clip range")
+    p.add_argument("--clamp-profile", choices=sorted(PATHLOSS_PROFILES), help="clip range")
     p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("selftest", help="run the built-in oracle suites")

@@ -51,15 +51,17 @@ NORM_HI_DB = -169.0
 
 _CSV_HEADER = ["x", "y", "z", "value"]
 _CSV_ROW = np.dtype([("x", "<i8"), ("y", "<i8"), ("z", "<i8"), ("value", "<f8")])
+# numpy 2.4's loadtxt refuses a cell such as '1.0' or '1e0' in an int64 column
+# whatever the warning filters; from 1.23 it read one through a float and
+# only warned (a DeprecationWarning, which the default filters hide), so
+# grid CSV goes through the C parser from 2.4 on and through the loop before
+_LOADTXT_STRICT_INTS = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
-# dataset pathloss range (top, bottom) in dB, by profile name
-PATHLOSS_RANGES = {
-    "radiomapseer": (-47.0, -147.0),
-    "radiomap3dseer": (-75.0, -111.0),
-    "urbanradio3d": (-92.0, -169.0),
-}
-PRESET_NAMES = ("edge", "canyon", "sparse", "serpentine")  # synth.PRESETS, in this order
-GEOMETRIC_KINDS = ("raster", "hilbert", "zcurve", "subsample", "alternative")  # ordering.GEOMETRIC_ORDERS
+# the keys of synth.PATHLOSS_RANGES, synth.PRESETS and ordering.GEOMETRIC_ORDERS,
+# in their order (tests/test_cli.py holds them equal)
+PATHLOSS_PROFILES = ("radiomapseer", "radiomap3dseer", "urbanradio3d")
+PRESET_NAMES = ("edge", "canyon", "sparse", "serpentine")
+GEOMETRIC_KINDS = ("raster", "hilbert", "zcurve", "subsample", "alternative")
 ORDER_KINDS = ("wavefront", "priorPL", "truePL", *GEOMETRIC_KINDS, "custom")
 
 
@@ -471,12 +473,14 @@ def _csv_rows_c(path: str | Path) -> np.ndarray | None:
 
     The parser takes less than the loop (no quotes, no underscores, ASCII
     digits, int64 only) and gives the same numbers, but it skips blank lines
-    and has no field-size limit.  So any exception, a line longer than csv's
-    field limit, a header the loop would read otherwise or a line count
-    other than the rows + 1 returns None.  A file without data rows never
+    and has no field-size limit.  So a numpy before 2.4, any exception, a
+    line longer than csv's field limit, a header the loop would read
+    otherwise or a line count other than the rows + 1 returns None.  A file without data rows never
     reaches the parser, which would warn: warning filters are process-wide,
     so this function changes none.
     """
+    if not _LOADTXT_STRICT_INTS:
+        return None
     limit, n_lines = csv.field_size_limit(), 0
 
     def lines(fh):

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GEOMETRIC_KINDS, ORDER_KINDS, HeightMap, RadioField, Scene, ValidationError, _cell, _check, _check_in_map, _fields_equal, _held, atomic_write, write_table
+from .grids import ORDER_KINDS, HeightMap, RadioField, Scene, ValidationError, _cell, _check, _check_in_map, _fields_equal, _held, atomic_write, write_table
 from .propagation import blockage_ratio_batch, pixel_centers
 
 NO_PRED = -1
@@ -479,7 +479,13 @@ def subsample_order(n_side: int) -> OrderPi:
     return OrderPi(np.lexsort((c, r, first)), "subsample")
 
 
-GEOMETRIC_ORDERS = dict(zip(GEOMETRIC_KINDS, (raster_order, hilbert_order, zcurve_order, subsample_order, alternative_order), strict=True))
+GEOMETRIC_ORDERS = {
+    "raster": raster_order,
+    "hilbert": hilbert_order,
+    "zcurve": zcurve_order,
+    "subsample": subsample_order,
+    "alternative": alternative_order,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import PRESET_NAMES, HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError, _check
+from .grids import HeightMap, RadioField, RxConfig, Scene, TxConfig, UNIT_DB, ValidationError, _check
 from .metrics import _windowed_mean
 from .propagation import anchor_volume
 
-# building height envelope per dataset; grids holds their pathloss ranges
+# dataset pathloss range (top, bottom) in dB, by profile name
+PATHLOSS_RANGES = {
+    "radiomapseer": (-47.0, -147.0),
+    "radiomap3dseer": (-75.0, -111.0),
+    "urbanradio3d": (-92.0, -169.0),
+}
 HEIGHT_RANGES = {
     "radiomapseer": (25.0, 25.0),
     "radiomap3dseer": (6.6, 19.8),
@@ -272,4 +277,9 @@ def preset_serpentine(seed: int = 0, side_px: int = 48, resolution: float = 1.0)
     return Scene(HeightMap(hm, resolution), TxConfig(tx_x, tx_y))
 
 
-PRESETS = dict(zip(PRESET_NAMES, (preset_edge_tx, preset_urban_canyon, preset_sparse, preset_serpentine), strict=True))
+PRESETS = {
+    "edge": preset_edge_tx,
+    "canyon": preset_urban_canyon,
+    "sparse": preset_sparse,
+    "serpentine": preset_serpentine,
+}

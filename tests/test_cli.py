@@ -740,6 +740,28 @@ except AttributeError as exc:
     assert run.returncode == 0, run.stderr
     assert run.stdout == "module 'radiofront' has no attribute 'no_such_name'\n"
 
+
+def test_the_package_reads_each_name_from_its_module_now():
+    # a binding patched in its module, as a tracer or a test does, and restored
+    run = run_fresh_python("""
+import radiofront as rf, radiofront.ordering as ordering
+original = rf.wavefront_order
+ordering.wavefront_order = stand_in = lambda *args: None
+assert rf.wavefront_order is stand_in
+ordering.wavefront_order = original
+assert rf.wavefront_order is original
+assert not set(rf.__all__) & set(vars(rf))
+""")
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_parser_choices_are_the_keys_of_their_tables():
+    from radiofront import grids, ordering, synth
+
+    assert tuple(synth.PATHLOSS_RANGES) == grids.PATHLOSS_PROFILES
+    assert tuple(synth.PRESETS) == grids.PRESET_NAMES
+    assert tuple(ordering.GEOMETRIC_ORDERS) == grids.GEOMETRIC_KINDS
+
 class TestSelftestCommand:
     def test_all_suites_pass(self, capsys):
         assert main(["selftest"]) == 0

@@ -541,6 +541,31 @@ class TestCsv:
         (tmp_path / "f.csv").write_bytes(text.encode())
         assert grids._csv_rows_c(tmp_path / "f.csv") is None
 
+    @pytest.mark.parametrize("action", ["ignore", "default", "error"])
+    @pytest.mark.parametrize(
+        "cell, needle",
+        [
+            ("1.0", "expected four fields"),
+            ("2.7", "expected four fields"),
+            ("1e0", "expected four fields"),
+            ("9223372036854775808", "cell index beyond int64"),
+        ],
+    )
+    def test_a_cell_that_is_not_an_int64_is_refused_under_any_warning_filter(self, tmp_path, cell, needle, action):
+        p = tmp_path / "f.csv"
+        p.write_text(f"x,y,z,value\n0,0,0,-80\n{cell},0,0,-80\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert grids._csv_rows_c(p) is None
+            with pytest.raises(GridFormatError, match=f"f.csv: line 3: {needle}"):
+                grid_from_csv(p)
+
+    def test_a_numpy_that_reads_int_cells_through_a_float_never_takes_the_c_parser(self, tmp_path, monkeypatch):
+        grid_to_csv(RadioField(np.full((1, 2, 2), -75.0), UNIT_DB), tmp_path / "f.csv")
+        monkeypatch.setattr(grids, "_LOADTXT_STRICT_INTS", False)
+        assert grids._csv_rows_c(tmp_path / "f.csv") is None
+        assert grid_from_csv(tmp_path / "f.csv").values.tolist() == [[[-75.0, -75.0], [-75.0, -75.0]]]
+
 
 # Cells the C parser and the loop might read differently: each one the two
 # paths must read alike, or refuse with the same message.
@@ -591,6 +616,7 @@ def _csv_outcome(path, unit):
     return type(grid).__name__, getattr(grid, "unit", UNIT_METERS), grid.values.shape, grid.values.tobytes()
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])  # a warning fails the example, or is hidden
 @settings(max_examples=400)
 @given(text=grid_csv_texts(), unit=st.sampled_from([UNIT_DB, UNIT_METERS, UNIT_NORM01]))
 @example(text="x,y,z,value\n0,0,0,1.0\n\n1,0,0,2.0\n", unit=UNIT_DB)  # blank line
@@ -605,9 +631,9 @@ def _csv_outcome(path, unit):
 @example(text="x,y,z,value\r\n", unit=UNIT_DB)  # header only
 @example(text="\ufeffx,y,z,value\n0,0,0,1.0\n", unit=UNIT_DB)  # BOM
 @example(text=f"x,y,z,value\n0,0,0,{'0' * 131072}1.5\n", unit=UNIT_DB)  # past csv's field limit
-def test_c_parser_and_loop_give_the_same_grid_or_error(text, unit):
+def test_c_parser_and_loop_give_the_same_grid_or_error(text, unit, action):
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning from either path fails the example
+        warnings.simplefilter(action)
         path = Path(d) / "grid.csv"
         path.write_bytes(text.encode())
         fast = _csv_outcome(path, unit)
