@@ -56,9 +56,12 @@ CONFIG_ENV = "RADIOFRONT_CONFIG"
 
 
 def _read_key_values(path: str) -> dict:
-    """Flat ``key=value`` text; blank and '#' lines skipped, '-' in keys read as '_'."""
+    """Flat ``key=value`` text; blank and '#' lines skipped, '-' in keys read as '_'.
+
+    A leading UTF-8 byte-order mark is dropped, so it never joins the first key.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         n = exc.object[: exc.start].count(b"\n") + 1
         raise ValidationError(f"{path}: line {n}: not UTF-8 text") from None
@@ -310,48 +313,41 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _synth_one(args, seed: int, out_dir: Path) -> None:
+def cmd_synth(args) -> int:
     from .synth import PATHLOSS_RANGES, PRESETS, CityParams, gen_field, gen_scene
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check("an integer >= 1", **{"--count": args.count})
+    base = Path(args.out_dir)
     rx = RxConfig(**_given(z_rx=args.z_rx, n_z=args.n_z, dz=args.dz))
-    tx_fields = _given(f=args.freq)
     size = _given(side_px=args.side_px, resolution=args.resolution)
-    if args.preset:
-        scene = PRESETS[args.preset](seed=seed, **size)
-    else:
-        layout = _given(
-            n_buildings=args.n_buildings,
-            height_range=args.height_range,
-            footprint_range=args.footprint_range,
-        )
-        scene = gen_scene(CityParams(seed=seed, **size, **layout))
-    scene = Scene(scene.heightmap, replace(scene.tx, **tx_fields), rx)
+    layout = _given(
+        n_buildings=args.n_buildings,
+        height_range=args.height_range,
+        footprint_range=args.footprint_range,
+    )
     clamp = PATHLOSS_RANGES.get(args.clamp_profile)
     noise = _given(noise_sigma=args.noise_sigma, smooth_sigma=args.smooth_sigma, clamp=clamp)
-    fld = gen_field(scene, seed=seed, **noise)
-    save_grid(scene.heightmap, out_dir / "heightmap.rgf")
-    save_grid(fld, out_dir / "field.rgf")
-    manifest = {"seed": seed, "heightmap": "heightmap.rgf", "field": "field.rgf"}
-    manifest.update({k: getattr(scene.tx, f) for k, f in _TX_FIELDS.items()})
-    manifest.update({k: getattr(rx, k) for k in _RX_FIELDS})
-    text = "\n".join(
-        f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
-        for k, v in manifest.items()
-    )
-    atomic_write(out_dir / "scene.txt", text + "\n")
-
-
-def cmd_synth(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    _check("an integer >= 1", **{"--count": args.count, "--jobs": args.jobs})
-    base = Path(args.out_dir)
-    jobs = [(args.seed + k, base / f"scene_{k:03d}" if args.count > 1 else base)
-            for k in range(args.count)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        list(pool.map(lambda sj: _synth_one(args, *sj), jobs))
-    print(f"synth: wrote {len(jobs)} scene(s) under {base}")
+    for i in range(args.count):
+        seed = args.seed + i
+        if args.preset:
+            scene = PRESETS[args.preset](seed=seed, **size)
+        else:
+            scene = gen_scene(CityParams(seed=seed, **size, **layout))
+        scene = Scene(scene.heightmap, replace(scene.tx, **_given(f=args.freq)), rx)
+        fld = gen_field(scene, seed=seed, **noise)
+        out_dir = base / f"scene_{i:03d}" if args.count > 1 else base
+        out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a refused scene leaves none
+        save_grid(scene.heightmap, out_dir / "heightmap.rgf")
+        save_grid(fld, out_dir / "field.rgf")
+        manifest = {"seed": seed, "heightmap": "heightmap.rgf", "field": "field.rgf"}
+        manifest.update({k: getattr(scene.tx, f) for k, f in _TX_FIELDS.items()})
+        manifest.update({k: getattr(rx, k) for k in _RX_FIELDS})
+        text = "\n".join(
+            f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in manifest.items()
+        )
+        atomic_write(out_dir / "scene.txt", text + "\n")
+    print(f"synth: wrote {args.count} scene(s) under {base}")
     return 0
 
 
@@ -495,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), help="edge|canyon|sparse layout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1, help="number of scenes")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
     p.add_argument("--side-px", type=int)
     p.add_argument("--resolution", type=float)
     p.add_argument("--n-buildings", type=int)

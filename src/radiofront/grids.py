@@ -371,15 +371,21 @@ def atomic_write(path: str | Path, data) -> None:
 
     data is bytes, str (written as UTF-8) or a sequence of buffers written
     one after another, so an array reaches the file without a joined copy.
+    If the write or the rename fails, the temp file is removed and the error
+    re-raised; path is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     if isinstance(data, (bytes, str)):
         data = [data.encode() if isinstance(data, str) else data]
-    with open(tmp, "wb") as fh:
-        for chunk in data:
-            fh.write(chunk)
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in data:
+                fh.write(chunk)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_table(path: str | Path, columns, rows) -> None:

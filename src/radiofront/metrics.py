@@ -24,6 +24,8 @@ def _values(fld, expect_unit: str | None = None, what: str = "field") -> np.ndar
             raise ValidationError(f"{what} must be in {expect_unit}, got {fld.unit}")
         return fld.values
     v = np.asarray(fld, dtype=np.float64)
+    if not np.isfinite(v).all():  # a RadioField is NaN-free by construction; a bare array is not
+        raise ValidationError(f"{what} contains NaN or infinite values")
     return v[np.newaxis] if v.ndim == 2 else v
 
 

@@ -150,10 +150,14 @@ def gen_field(
     So does a smooth_sigma whose kernel radius, int(4 * sigma + 0.5) px,
     exceeds the larger map side: a wider kernel only adds weight on
     replicated border pixels, while its padding grows with sigma squared.
-    A seed that is not an integer >= 0 raises ValidationError too.
+    A seed that is not an integer >= 0, or a clamp that is not a pair of
+    finite numbers, raises ValidationError too.
     """
     _check("an integer >= 0", seed=seed)
     _check("finite and >= 0", noise_sigma=noise_sigma, smooth_sigma=smooth_sigma)
+    if clamp is not None:
+        _check("a pair", clamp=clamp)
+        _check("finite", **{"clamp[0]": clamp[0], "clamp[1]": clamp[1]})
     smooth_sigma = float(smooth_sigma)  # a numpy float32 sigma would build a float32 kernel
     side = max(scene.heightmap.height_px, scene.heightmap.width_px)
     if int(4 * smooth_sigma + 0.5) > side:
@@ -166,8 +170,7 @@ def gen_field(
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
     if clamp is not None:
-        top, bottom = max(clamp), min(clamp)
-        values = np.clip(values, bottom, top)
+        values = np.clip(values, min(clamp), max(clamp))
     return RadioField(values, UNIT_DB, scene.heightmap.resolution)
 
 

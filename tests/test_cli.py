@@ -374,18 +374,34 @@ class TestSynthCommand:
         assert "tx_x=" in manifest and "heightmap=heightmap.rgf" in manifest
 
     def test_batch_deterministic(self, tmp_path):
-        args = [
-            "synth", "--seed", "7", "--count", "3",
-            "--side-px", "32", "--n-buildings", "2", "--footprint-range", "3,6",
-        ]
-        rc = main(args + ["--out-dir", str(tmp_path / "serial")])
-        assert rc == 0
-        rc = main(args + ["--out-dir", str(tmp_path / "parallel"), "--jobs", "3"])
+        # scene k of a batch is, file for file, the single run at seed + k
+        args = ["synth", "--side-px", "32", "--n-buildings", "2", "--footprint-range", "3,6"]
+        rc = main(args + ["--seed", "7", "--count", "3", "--out-dir", str(tmp_path / "batch")])
         assert rc == 0
         for k in range(3):
-            a = (tmp_path / "serial" / f"scene_{k:03d}" / "field.rgf").read_bytes()
-            b = (tmp_path / "parallel" / f"scene_{k:03d}" / "field.rgf").read_bytes()
-            assert a == b
+            single = tmp_path / f"single_{k}"
+            assert main(args + ["--seed", str(7 + k), "--out-dir", str(single)]) == 0
+            for name in ("heightmap.rgf", "field.rgf", "scene.txt"):
+                a = (tmp_path / "batch" / f"scene_{k:03d}" / name).read_bytes()
+                assert a == (single / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--count", "0"],
+            ["--n-z", "0"],
+            ["--preset", "canyon", "--side-px", "6"],
+            ["--count", "3", "--freq", "-1"],
+            ["--count", "3", "--smooth-sigma", "9"],
+        ],
+    )
+    def test_refused_run_makes_no_directory(self, tmp_path, capsys, flags):
+        # one row per check stage: --count, the rx fields, the scene, --freq, gen_field
+        argv = ["synth", "--out-dir", str(tmp_path / "out" / "e"), "--side-px", "12",
+                "--n-buildings", "2", "--footprint-range", "1,3", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_feeds_anchor_and_order(self, tmp_path):
         out = tmp_path / "scene"
@@ -595,8 +611,7 @@ class TestReaderErrors:
             (["--preset", "sparse", "--side-px", "2"], "preset 'sparse' needs side_px >= 7, got 2"),
             (["--count", "0"], "--count must be an integer >= 1, got 0"),
             (["--count", "-3"], "--count must be an integer >= 1, got -3"),
-            (["--jobs", "0"], "--jobs must be an integer >= 1, got 0"),
-            (["--jobs", "-2"], "--jobs must be an integer >= 1, got -2"),
+            (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
         ],
     )
     def test_synth_names_the_bad_value(self, tmp_path, capsys, flags, needle):
@@ -707,10 +722,13 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
 import sys
 from radiofront.cli import main
 assert main({[sub, *argv]!r}) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"))
 print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("radiofront.") and m != "radiofront.cli"))
 """)
         assert run.returncode == 0, run.stderr
-        loaded[sub] = eval(run.stdout.splitlines()[-1])
+        *_, pool, modules = run.stdout.splitlines()
+        assert pool == "[]", (sub, pool)  # no subcommand starts a thread pool
+        loaded[sub] = eval(modules)
     assert loaded == SUBCOMMAND_MODULES
 
 
@@ -820,6 +838,17 @@ class TestConfigPrecedence:
         cfg.write_text(f"verify={value}\npatch_px=8\n")
         assert main(["--config", str(cfg), "order", *tx_flags(city), "--out", str(tmp_path / "o.json")]) == 0
         assert ("containment: holds=True" in capsys.readouterr().out) == checked
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, city):
+        # a BOM read as part of the first key, which was then dropped: the manifest lost its
+        # height map, and the config its patch size (the default 16 px patches give N=4)
+        manifest = tmp_path / "scene.txt"
+        manifest.write_text(f"\ufeffheightmap={city}\ntx_x=5.5\ntx_y=9.5\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\ufeffpatch-px=8\nkind=raster\n", encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert main(["--config", str(cfg), "order", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert len(load_order(out)) == 16
 
     def test_env_var_config(self, tmp_path, city, monkeypatch):
         cfg = tmp_path / "cfg.txt"

@@ -159,7 +159,6 @@ def synth_argv(draw, d, out):
     _flag(draw, argv, "preset", st.sampled_from(["edge", "canyon", "sparse", "serpentine"]))
     _flag(draw, argv, "seed", SMALL_INTS)
     _flag(draw, argv, "count", st.integers(-1, 2))
-    _flag(draw, argv, "jobs", st.integers(0, 2))
     _flag(draw, argv, "n-z", SMALL_INTS)
     _flag(draw, argv, "clamp-profile", st.sampled_from(["radiomapseer", "urbanradio3d"]))
     if draw(st.booleans()):

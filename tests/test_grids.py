@@ -698,3 +698,18 @@ class TestAtomicWrite:
         atomic_write(p, [b"HEAD", payload, memoryview(b"!")])
         assert p.read_bytes() == b"HEAD" + payload.tobytes() + b"!"
         assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_a_failed_rename_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.rgf"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_grid(HeightMap(np.zeros((2, 2)), 1.0), target)
+        assert [f.name for f in tmp_path.iterdir()] == ["out.rgf"]
+
+    def test_a_failed_write_leaves_no_temp_and_the_old_file(self, tmp_path):
+        p = tmp_path / "x.bin"
+        p.write_bytes(b"old contents")
+        with pytest.raises(TypeError):
+            atomic_write(p, [b"ab", "x"])  # a str chunk is not a buffer
+        assert [f.name for f in tmp_path.iterdir()] == ["x.bin"]
+        assert p.read_bytes() == b"old contents"

@@ -325,3 +325,25 @@ class TestHistStats:
     def test_zero_histogram_rejected(self):
         with pytest.raises(ValidationError):
             hist_stats(np.zeros(4), np.ones(4))
+
+
+FIELD_METRICS = [nmse, rmse_db, psnr, ssim, grad3d_loss, vertical_grad_error_cdf]
+
+
+@pytest.mark.parametrize("metric", FIELD_METRICS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_a_bare_array_with_nan_or_inf_is_refused_by_name(metric, bad, side):
+    good = np.random.default_rng(0).uniform(0.1, 0.9, size=(2, 12, 12))
+    broken = good.copy()
+    broken[1, 5, 7] = bad
+    args = {"pred": good, "gt": good, side: broken}
+    with pytest.raises(ValidationError) as err:
+        metric(args["pred"], args["gt"])
+    assert str(err.value) == f"{side} contains NaN or infinite values"
+
+
+def test_a_2d_bare_array_with_nan_is_refused():
+    # this returned nan: NaN anywhere is a validation error
+    with pytest.raises(ValidationError, match="^pred contains NaN or infinite values$"):
+        nmse(np.array([[np.nan, 1.0]]), np.array([[1.0, 1.0]]))

@@ -147,6 +147,8 @@ CASES = [
     ("f", POSITIVE, lambda v: fspl(10.0, v), 2.0**31),
     ("d", INDEX, lambda v: rotary_frequencies(v, 100.0), 6),
     ("theta_base", POSITIVE, lambda v: rotary_frequencies(6, v), 100.0),
+    ("clamp[0]", FINITE, lambda v: gen_field(SCENE, clamp=(v, -100.0)), -40.0),
+    ("clamp[1]", FINITE, lambda v: gen_field(SCENE, clamp=(-40.0, v)), -100.0),
 ]
 IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(CASES)]
 
@@ -190,6 +192,7 @@ SEQUENCES = [
     ("axis_dims", "a triple", lambda v: RopeConfig(6, v), [2, np.array(6), (2, 4), (2, 2, 2, 0)]),
     ("height_range", "a pair", lambda v: CityParams(height_range=v), [5, None, (1, 2, 3), (10.0,)]),
     ("footprint_range", "a pair", lambda v: CityParams(footprint_range=v), [16, (4,), (4, 8, 16)]),
+    ("clamp", "a pair", lambda v: gen_field(SCENE, clamp=v), [-100.0, (-100,), (-40, -100, -70)]),
 ]
 
 
