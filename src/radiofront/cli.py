@@ -41,6 +41,7 @@ from .grids import (
     UNIT_DB,
     UNIT_METERS,
     ValidationError,
+    _as_float32,
     _check,
     atomic_write,
     denormalize_db,
@@ -55,10 +56,11 @@ from .grids import (
 CONFIG_ENV = "RADIOFRONT_CONFIG"
 
 
-def _read_key_values(path: str) -> dict:
+def _read_key_values(path: str, known: set[str] | None = None) -> dict:
     """Flat ``key=value`` text; blank and '#' lines skipped, '-' in keys read as '_'.
 
     A leading UTF-8 byte-order mark is dropped, so it never joins the first key.
+    With known given, a key not in it is refused with its file and line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -73,7 +75,10 @@ def _read_key_values(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValidationError(f"{path}: line {n} has no '=': {line!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if known is not None and key not in known:
+            raise ValidationError(f"{path}: line {n}: {key}: no subcommand has an option of this name")
+        out[key] = value.strip()
     return out
 
 
@@ -336,6 +341,9 @@ def cmd_synth(args) -> int:
         scene = Scene(scene.heightmap, replace(scene.tx, **_given(f=args.freq)), rx)
         fld = gen_field(scene, seed=seed, **noise)
         out_dir = base / f"scene_{i:03d}" if args.count > 1 else base
+        # the binary writers' float32 rule, checked before the directory is made
+        _as_float32(out_dir / "heightmap.rgf", scene.heightmap.values)
+        _as_float32(out_dir / "field.rgf", fld.values)
         out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a refused scene leaves none
         save_grid(scene.heightmap, out_dir / "heightmap.rgf")
         save_grid(fld, out_dir / "field.rgf")
@@ -518,7 +526,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = args.config or os.environ.get(CONFIG_ENV)
         if config:  # config values become the subcommand's defaults; flags still win
-            args.parser.set_defaults(**_typed_options(args.parser, config, _read_key_values(config)))
+            # one file serves every subcommand: a key is refused only if none has that option
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            known = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+            args.parser.set_defaults(**_typed_options(args.parser, config, _read_key_values(config, known)))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 import threading
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, count
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -274,7 +275,7 @@ class RadioField:
         _check_grid(values, self.resolution, "radio field")
         if self.unit not in (UNIT_DB, UNIT_NORM01):
             raise ValidationError(f"unknown field unit {self.unit!r}")
-        if self.unit == UNIT_NORM01 and (np.any(values < 0) or np.any(values > 1)):
+        if self.unit == UNIT_NORM01 and (values.min() < 0 or values.max() > 1):
             raise ValidationError("normalized field has values outside [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -349,8 +350,8 @@ def normalize_db(
         raise ValidationError("degenerate normalization range: lo == hi")
     if fld.unit != UNIT_DB:
         raise ValidationError("normalize_db expects a dB field")
-    v = np.clip((fld.values - hi) / (lo - hi), 0.0, 1.0)
-    return RadioField(v, UNIT_NORM01, fld.resolution)
+    v = fld.values - hi  # divided and clipped in place: np.clip((values - hi) / (lo - hi), 0, 1)
+    return RadioField(np.clip(np.divide(v, lo - hi, out=v), 0.0, 1.0, out=v), UNIT_NORM01, fld.resolution)
 
 
 def denormalize_db(
@@ -366,20 +367,26 @@ def denormalize_db(
     return RadioField(v, UNIT_DB, fld.resolution)
 
 
+_temp_ids = count()
+
+
 def atomic_write(path: str | Path, data) -> None:
     """Write data to a sibling temp file, then rename it over path.
 
     data is bytes, str (written as UTF-8) or a sequence of buffers written
     one after another, so an array reaches the file without a joined copy.
-    If the write or the rename fails, the temp file is removed and the error
-    re-raised; path is left as it was.
+    The temp file is '<name>.<pid>.<thread id>.<n>.tmp', n counting this
+    process's writes, so writers of one path never share one; it is created
+    exclusively, with the permissions open(path, "wb") gives.  If the write
+    or the rename fails, the temp file is removed and the error re-raised;
+    path is left as it was.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.{next(_temp_ids)}.tmp")
     if isinstance(data, (bytes, str)):
         data = [data.encode() if isinstance(data, str) else data]
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "xb") as fh:
             for chunk in data:
                 fh.write(chunk)
         tmp.replace(path)
@@ -395,6 +402,16 @@ def write_table(path: str | Path, columns, rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _as_float32(path: str | Path, values: np.ndarray) -> np.ndarray:
+    """values as a C-ordered <f4 array, or ValidationError naming path for a
+    value beyond the float32 range: the rule of every binary writer."""
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4", order="C")
+    if not np.isfinite(payload).all():
+        raise ValidationError(f"{path}: a value lies beyond the float32 range (+-3.4e38)")
+    return payload
+
+
 def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) -> None:
     """Write magic, the header fields packed with struct format fmt, then values as <f4.
 
@@ -402,12 +419,10 @@ def write_container(path: str | Path, magic: bytes, fmt: str, fields, values) ->
     naming path, so no file is written that its reader would refuse: one
     beyond the float32 range, or a nonzero header float that rounds to 0.
     """
+    payload = _as_float32(path, values)
     header = np.array([f for f in fields if isinstance(f, float)])
     with np.errstate(over="ignore"):
-        payload = values.astype("<f4", order="C")
         header32 = header.astype("<f4")
-    if not np.isfinite(payload).all():
-        raise ValidationError(f"{path}: a value lies beyond the float32 range (+-3.4e38)")
     fits = np.isfinite(header32) & ((header32 != 0) | (header == 0))
     if not fits.all():
         bad = float(header[~fits][0])

@@ -19,11 +19,12 @@ from .grids import RadioField, UNIT_DB, UNIT_NORM01, ValidationError, _check, no
 
 
 def _values(fld, expect_unit: str | None = None, what: str = "field") -> np.ndarray:
+    # C order (no copy for a C-ordered array), so no result depends on an input's memory layout
     if isinstance(fld, RadioField):
         if expect_unit is not None and fld.unit != expect_unit:
             raise ValidationError(f"{what} must be in {expect_unit}, got {fld.unit}")
-        return fld.values
-    v = np.asarray(fld, dtype=np.float64)
+        return np.asarray(fld.values, order="C")
+    v = np.asarray(fld, dtype=np.float64, order="C")
     if not np.isfinite(v).all():  # a RadioField is NaN-free by construction; a bare array is not
         raise ValidationError(f"{what} contains NaN or infinite values")
     return v[np.newaxis] if v.ndim == 2 else v
@@ -37,25 +38,31 @@ def _pair(pred, gt, expect_unit: str | None = None) -> tuple[np.ndarray, np.ndar
     return p, g
 
 
+def _squared_error(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(p - g) ** 2 in one array; numpy squares as x * x, so the bits are the same."""
+    d = p - g
+    return np.multiply(d, d, out=d)
+
+
 def nmse(pred, gt) -> float:
     """Normalized mean squared error: sum((pred-gt)^2) / sum(gt^2)."""
     p, g = _pair(pred, gt, UNIT_NORM01)
     denom = float((g * g).sum())
     if denom == 0.0:
         raise ValidationError("nmse undefined for an all-zero ground truth")
-    return float(((p - g) ** 2).sum()) / denom
+    return float(_squared_error(p, g).sum()) / denom
 
 
 def rmse_db(pred, gt) -> float:
     """Root mean squared error of two dB fields."""
     p, g = _pair(pred, gt, UNIT_DB)
-    return float(np.sqrt(((p - g) ** 2).mean()))
+    return float(np.sqrt(_squared_error(p, g).mean()))
 
 
 def psnr(pred, gt) -> float:
     """Peak signal-to-noise ratio with data range 1.0; inf for equal inputs."""
     p, g = _pair(pred, gt, UNIT_NORM01)
-    mse = float(((p - g) ** 2).mean())
+    mse = float(_squared_error(p, g).mean())
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -164,17 +171,49 @@ class GradLossReport:
 
 
 def _avg_pool(v: np.ndarray, s: int) -> np.ndarray:
+    """Mean of each s x s block of a C-ordered (nz, h, w) array, ragged edges dropped.
+
+    Bit-identical to v.reshape(nz, h // s, s, w // s, s).mean(axis=(2, 4)):
+    that reduction starts each block at 0, adds the sum of each of its rows
+    in turn, top to bottom, and divides by s * s, so the loop below does the
+    same from strided views.  numpy sums a row of 8 or more pairwise, and it
+    reduces a map less than two blocks wide in another order; those cases,
+    and a block larger than the map, keep the reduction.
+    """
     if s == 1:
         return v
     nz, h, w = v.shape
     h2, w2 = (h // s) * s, (w // s) * s
-    v = v[:, :h2, :w2]
-    return v.reshape(nz, h2 // s, s, w2 // s, s).mean(axis=(2, 4))
+    if s >= 8 or h2 == 0 or w2 < 2 * s:
+        return v[:, :h2, :w2].reshape(nz, h2 // s, s, w2 // s, s).mean(axis=(2, 4))
+    out, row = np.zeros((nz, h2 // s, w2 // s)), np.empty((nz, h2 // s, w2 // s))
+    for r in range(s):
+        np.add(v[:, r:h2:s, 0:w2:s], v[:, r:h2:s, 1:w2:s], out=row)
+        for c in range(2, s):
+            row += v[:, r:h2:s, c:w2:s]
+        out += row
+    out /= s * s
+    return out
 
 
-def _gap(dp: np.ndarray, dg: np.ndarray) -> float:
-    """Mean absolute difference; 0 for empty differences."""
-    return float(np.abs(dp - dg).mean()) if dp.size else 0.0
+def _abs_gap(p: np.ndarray, g: np.ndarray, axis: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|np.diff(p, axis=axis) - np.diff(g, axis=axis)| in the head of the flat scratch array a.
+
+    The differences go into the heads of a and b as C-ordered arrays of
+    np.diff's shape, so a reduction over the result sums in the order it
+    takes over np.diff's own arrays.
+    """
+    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    dp = np.subtract(p[hi], p[lo], out=a[: p[hi].size].reshape(p[hi].shape))
+    dp -= np.subtract(g[hi], g[lo], out=b[: dp.size].reshape(dp.shape))
+    return np.abs(dp, out=dp)
+
+
+def _gap(p: np.ndarray, g: np.ndarray, axis: int, a: np.ndarray, b: np.ndarray) -> float:
+    """Mean of _abs_gap; 0 for empty differences."""
+    d = _abs_gap(p, g, axis, a, b)
+    return float(d.mean()) if d.size else 0.0
 
 
 def grad3d_loss(pred, gt, cfg: GradLossConfig | None = None) -> GradLossReport:
@@ -188,15 +227,12 @@ def grad3d_loss(pred, gt, cfg: GradLossConfig | None = None) -> GradLossReport:
     """
     cfg = cfg or GradLossConfig()
     p, g = _pair(pred, gt)
+    a, b = np.empty(p.size), np.empty(p.size)  # every difference below fits in a field's size
     inplane = {}
     for s in sorted(set(cfg.scales)):
         ps, gs = _avg_pool(p, s), _avg_pool(g, s)
-        gap_x = _gap(np.diff(ps, axis=2), np.diff(gs, axis=2))
-        gap_y = _gap(np.diff(ps, axis=1), np.diff(gs, axis=1))
-        inplane[s] = gap_x + gap_y
-    vertical = 0.0
-    if p.shape[0] > 1:
-        vertical = _gap(np.diff(p, axis=0), np.diff(g, axis=0))
+        inplane[s] = _gap(ps, gs, 2, a, b) + _gap(ps, gs, 1, a, b)
+    vertical = _gap(p, g, 0, a, b)  # 0 for a single slice, whose z-differences are empty
     total = sum(inplane.values()) + cfg.lambda_z * vertical
     return GradLossReport(total, inplane, vertical)
 
@@ -224,8 +260,8 @@ def vertical_grad_error_cdf(pred, gt) -> CdfTable:
     p, g = _pair(pred, gt)
     if p.shape[0] < 2:
         raise ValueError("vertical gradient CDF needs at least two height slices")
-    err = np.abs(np.diff(p, axis=0) - np.diff(g, axis=0)).ravel()
-    values = np.sort(err)
+    values = _abs_gap(p, g, 0, np.empty(p[1:].size), np.empty(p[1:].size)).ravel()
+    values.sort()
     return CdfTable(values, np.arange(1, len(values) + 1) / len(values))
 
 

@@ -624,6 +624,32 @@ class TestReaderErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flags, name",
+        [(["--height-range", "0,1e39"], "heightmap.rgf"), (["--noise-sigma", "1e300"], "field.rgf")],
+    )
+    def test_synth_refused_by_the_float32_rule_makes_no_directory(self, tmp_path, capsys, flags, name):
+        # the writer's check ran inside save_grid, after the scene's directory was made
+        out = tmp_path / "hr"
+        argv = ["synth", "--out-dir", str(out), "--side-px", "12", "--n-buildings", "2",
+                "--footprint-range", "1,3", *flags]
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, f"{out / name}: a value lies beyond the float32 range (+-3.4e38)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["--config", "RADIOFRONT_CONFIG"])
+    def test_config_key_of_no_subcommand_is_refused(self, tmp_path, city, capsys, monkeypatch, via):
+        # a typo of patch_px fell back to the default 16 px patches and wrote N=4
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("kind=raster\npatch_pz=8\n")
+        top = ["--config", str(cfg)] if via == "--config" else []
+        if via == "RADIOFRONT_CONFIG":
+            monkeypatch.setenv(via, str(cfg))
+        out = tmp_path / "o.json"
+        assert main([*top, "order", *tx_flags(city), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys, f"{cfg}: line 2: patch_pz: no subcommand has an option of this name")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, needle",
         [
             (["--patch-px", "0"], "patch_px must be an integer >= 1, got 0"),
@@ -848,6 +874,18 @@ class TestConfigPrecedence:
         cfg.write_text("\ufeffpatch-px=8\nkind=raster\n", encoding="utf-8")
         out = tmp_path / "o.json"
         assert main(["--config", str(cfg), "order", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert len(load_order(out)) == 16
+
+    @pytest.mark.parametrize("via", ["--config", "RADIOFRONT_CONFIG"])
+    def test_config_keys_of_other_subcommands_are_kept(self, tmp_path, city, monkeypatch, via):
+        # one file serves every subcommand: lambda_z is metrics', clamp_profile synth's
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("patch_px=8\nkind=raster\nlambda_z=0.3\nclamp_profile=radiomapseer\n")
+        top = ["--config", str(cfg)] if via == "--config" else []
+        if via == "RADIOFRONT_CONFIG":
+            monkeypatch.setenv(via, str(cfg))
+        out = tmp_path / "o.json"
+        assert main([*top, "order", *tx_flags(city), "--out", str(out)]) == 0
         assert len(load_order(out)) == 16
 
     def test_env_var_config(self, tmp_path, city, monkeypatch):

@@ -5,7 +5,9 @@ import dataclasses
 import pickle
 import re
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -713,3 +715,54 @@ class TestAtomicWrite:
             atomic_write(p, [b"ab", "x"])  # a str chunk is not a buffer
         assert [f.name for f in tmp_path.iterdir()] == ["x.bin"]
         assert p.read_bytes() == b"old contents"
+
+    def test_concurrent_writers_of_one_path_and_a_reader_see_whole_files(self, tmp_path):
+        # every writer used <name>.tmp: a writer renamed a file another was still
+        # filling, the reader saw a short file and the other writer's rename failed
+        p = tmp_path / "f.rgf"
+        rng = np.random.default_rng(29)
+        fields = [RadioField(rng.uniform(-150, -50, (2, 128, 128)).astype(np.float32), UNIT_DB) for _ in range(2)]
+        save_grid(fields[0], p)
+        errors, seen = [], set()
+        writing = threading.Barrier(2)
+        done = threading.Event()
+
+        def write(k):
+            try:
+                writing.wait(timeout=10)
+                for _ in range(60):
+                    save_grid(fields[k], p)
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                errors.append(exc)
+
+        def read():
+            try:
+                while not done.is_set():
+                    back = load_grid(p)
+                    seen.add(next(k for k, f in enumerate(fields) if back == f))
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=write, args=(k,)) for k in range(2)]
+            reader = threading.Thread(target=read)
+            for t in [*writers, reader]:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*writers, reader])
+        assert errors == [] and seen
+        assert [f.name for f in tmp_path.iterdir()] == ["f.rgf"]
+
+    def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        with open(plain, "wb") as fh:
+            fh.write(b"x")
+        atomic_write(tmp_path / "out.bin", b"x")
+        assert (tmp_path / "out.bin").stat().st_mode == plain.stat().st_mode

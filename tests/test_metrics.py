@@ -1,6 +1,7 @@
 """Field metrics against independent oracle implementations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from radiofront import (
     hist_stats,
     jensen_shannon,
     nmse,
+    normalize_db,
     psnr,
     rmse_db,
     ssim,
     vertical_grad_error_cdf,
 )
-from radiofront.metrics import _gaussian_window, _windowed_mean
+from radiofront.metrics import _avg_pool, _gaussian_window, _windowed_mean
 
 
 def norm_field(values):
@@ -347,3 +349,153 @@ def test_a_2d_bare_array_with_nan_is_refused():
     # this returned nan: NaN anywhere is a validation error
     with pytest.raises(ValidationError, match="^pred contains NaN or infinite values$"):
         nmse(np.array([[np.nan, 1.0]]), np.array([[1.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the buffer-owning passes with the expressions they replaced
+
+
+def pool_ref(v, s):
+    nz, h, w = v.shape
+    h2, w2 = (h // s) * s, (w // s) * s
+    return v[:, :h2, :w2].reshape(nz, h2 // s, s, w2 // s, s).mean(axis=(2, 4))
+
+
+def gap_ref(dp, dg):
+    return float(np.abs(dp - dg).mean()) if dp.size else 0.0
+
+
+def grad3d_ref(p, g, scales, lambda_z):
+    inplane = {}
+    for s in sorted(set(scales)):
+        ps, gs = pool_ref(p, s), pool_ref(g, s)
+        inplane[s] = (gap_ref(np.diff(ps, axis=2), np.diff(gs, axis=2))
+                      + gap_ref(np.diff(ps, axis=1), np.diff(gs, axis=1)))
+    vertical = gap_ref(np.diff(p, axis=0), np.diff(g, axis=0)) if p.shape[0] > 1 else 0.0
+    return sum(inplane.values()) + lambda_z * vertical, inplane, vertical
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def drawn_pair(shape, log_scale, seed, lo=None):
+    """Two C-ordered fields of shape: normal values times 10**log_scale, or with
+    lo given, values in [0, 1] that are uniform times 10**min(log_scale, 0)."""
+    rng = np.random.default_rng(seed)
+    if lo is None:
+        return tuple(rng.standard_normal(shape) * 10.0**log_scale for _ in range(2))
+    return tuple(rng.uniform(0, 1, shape) * 10.0**min(log_scale, 0) for _ in range(2))
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 70), st.integers(1, 70))
+LOG_SCALES = st.floats(-3, 3)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+# not shrunk: a summation-order fault fails on its first differing example
+class TestBitIdentity:
+    @settings(max_examples=300, phases=(Phase.explicit, Phase.generate))
+    @given(shape=SHAPES, s=st.integers(1, 10), log_scale=LOG_SCALES, seed=SEEDS)
+    def test_avg_pool(self, shape, s, log_scale, seed):
+        v, _ = drawn_pair(shape, log_scale, seed)
+        assert same_bits(_avg_pool(v, s), pool_ref(v, s))
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_avg_pool_of_negative_zeros_is_positive_zero(self, s):
+        v = np.full((1, 2 * s, 2 * s), -0.0)
+        assert same_bits(_avg_pool(v, s), pool_ref(v, s))
+
+    @settings(max_examples=200, phases=(Phase.explicit, Phase.generate))
+    @given(
+        shape=SHAPES,
+        scales=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+        lambda_z=st.floats(0, 2),
+        log_scale=LOG_SCALES,
+        seed=SEEDS,
+    )
+    def test_grad3d_loss(self, shape, scales, lambda_z, log_scale, seed):
+        p, g = drawn_pair(shape, log_scale, seed)
+        rep = grad3d_loss(p, g, GradLossConfig(scales=tuple(scales), lambda_z=lambda_z))
+        total, inplane, vertical = grad3d_ref(p, g, scales, lambda_z)
+        assert same_bits(rep.total, total) and same_bits(rep.vertical, vertical)
+        assert rep.inplane_per_scale.keys() == inplane.keys()
+        assert all(same_bits(rep.inplane_per_scale[s], inplane[s]) for s in inplane)
+
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
+    @given(shape=SHAPES, log_scale=LOG_SCALES, seed=SEEDS)
+    def test_vertical_grad_error_cdf(self, shape, log_scale, seed):
+        p, g = drawn_pair(shape, log_scale, seed)
+        if shape[0] < 2:
+            with pytest.raises(ValueError, match="two height slices"):
+                vertical_grad_error_cdf(p, g)
+            return
+        table = vertical_grad_error_cdf(p, g)
+        err = np.sort(np.abs(np.diff(p, axis=0) - np.diff(g, axis=0)).ravel())
+        assert same_bits(table.values, err)
+        assert same_bits(table.cdf, np.arange(1, len(err) + 1) / len(err))
+
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
+    @given(shape=SHAPES, log_scale=LOG_SCALES, seed=SEEDS)
+    def test_pointwise_errors(self, shape, log_scale, seed):
+        p, g = drawn_pair(shape, log_scale, seed, lo=0.0)
+        if (g * g).sum() > 0:
+            assert same_bits(nmse(p, g), float(((p - g) ** 2).sum()) / float((g * g).sum()))
+        mse = float(((p - g) ** 2).mean())
+        assert same_bits(psnr(p, g), math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse))
+        p, g = drawn_pair(shape, log_scale, seed)
+        assert same_bits(rmse_db(p, g), float(np.sqrt(((p - g) ** 2).mean())))
+
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
+    @given(
+        shape=SHAPES,
+        lo=st.floats(-200, 0),
+        hi=st.floats(-200, 0),
+        log_scale=LOG_SCALES,
+        seed=SEEDS,
+    )
+    def test_normalize_db(self, shape, lo, hi, log_scale, seed):
+        if lo == hi:
+            return
+        v, _ = drawn_pair(shape, log_scale, seed)
+        v += (lo + hi) / 2  # straddles the window, so values clip at both ends
+        out = normalize_db(db_field(v), lo, hi)
+        assert same_bits(out.values, np.clip((v - hi) / (lo - hi), 0, 1))
+
+
+def test_metrics_read_a_fortran_ordered_input_as_its_c_ordered_copy():
+    p, g = drawn_pair((3, 40, 50), 0.0, 71)
+    pf, gf = np.asfortranarray(p), np.asfortranarray(g)
+    assert grad3d_loss(pf, gf) == grad3d_loss(p, g)
+    assert same_bits(vertical_grad_error_cdf(pf, gf).values, vertical_grad_error_cdf(p, g).values)
+    assert same_bits(rmse_db(pf, gf), rmse_db(p, g))
+
+
+def _peak_in_fields(metric, pred, gt):
+    """metric's traced peak allocation, in sizes of one input field."""
+    metric(pred, gt)
+    tracemalloc.start()
+    try:
+        metric(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / pred.values.nbytes
+
+
+class TestPeakMemory:
+    """Fresh full-size temporaries coming back would break these bounds."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(83)
+        return tuple(norm_field(rng.uniform(size=(3, 256, 256))) for _ in range(2))
+
+    def test_grad3d_loss_peaks_below_three_fields(self, pair):
+        # two scratch fields, and at scale 2 both pooled quarter fields and a row sum
+        assert _peak_in_fields(grad3d_loss, *pair) < 3.0
+
+    def test_vertical_grad_error_cdf_peaks_below_two_point_one_fields(self, pair):
+        # the errors and one z-difference of (n_z - 1)/n_z fields each, then the errors and the cdf
+        assert _peak_in_fields(vertical_grad_error_cdf, *pair) < 2.1
