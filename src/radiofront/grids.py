@@ -376,13 +376,15 @@ def atomic_write(path: str | Path, data) -> None:
     data is bytes, str (written as UTF-8) or a sequence of buffers written
     one after another, so an array reaches the file without a joined copy.
     The temp file is '<name>.<pid>.<thread id>.<n>.tmp', n counting this
-    process's writes, so writers of one path never share one; it is created
-    exclusively, with the permissions open(path, "wb") gives.  If the write
+    process's writes, so writers of one path never share one; <name> is at
+    most path's first 32 characters, so any name the file system takes for
+    path fits.  It is created exclusively, with the permissions
+    open(path, "wb") gives.  If the write
     or the rename fails, the temp file is removed and the error re-raised;
     path is left as it was.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.{next(_temp_ids)}.tmp")
+    tmp = path.with_name(f"{path.name[:32]}.{os.getpid()}.{threading.get_ident()}.{next(_temp_ids)}.tmp")
     if isinstance(data, (bytes, str)):
         data = [data.encode() if isinstance(data, str) else data]
     try:

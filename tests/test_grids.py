@@ -732,7 +732,7 @@ class TestAtomicWrite:
                 writing.wait(timeout=10)
                 for _ in range(60):
                     save_grid(fields[k], p)
-            except Exception as exc:  # noqa: BLE001 - the test's verdict
+            except Exception as exc:  # a thread's error would be lost; the assertions below read it
                 errors.append(exc)
 
         def read():
@@ -740,7 +740,7 @@ class TestAtomicWrite:
                 while not done.is_set():
                     back = load_grid(p)
                     seen.add(next(k for k, f in enumerate(fields) if back == f))
-            except Exception as exc:  # noqa: BLE001 - the test's verdict
+            except Exception as exc:  # a thread's error would be lost; the assertions below read it
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
@@ -759,6 +759,13 @@ class TestAtomicWrite:
         assert not any(t.is_alive() for t in [*writers, reader])
         assert errors == [] and seen
         assert [f.name for f in tmp_path.iterdir()] == ["f.rgf"]
+
+    def test_a_target_name_of_255_bytes_is_written(self, tmp_path):
+        # '<name>.tmp' was 4 bytes longer than the longest name the file system takes
+        p = tmp_path / ("é" * 127 + "x")
+        atomic_write(p, b"x")
+        assert p.read_bytes() == b"x"
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
     def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path):
         plain = tmp_path / "plain.bin"

@@ -380,13 +380,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def drawn_pair(shape, log_scale, seed, lo=None):
+def drawn_pair(shape, log_scale, seed, unit01=False):
     """Two C-ordered fields of shape: normal values times 10**log_scale, or with
-    lo given, values in [0, 1] that are uniform times 10**min(log_scale, 0)."""
+    unit01, uniform values in [0, 1] times 10**min(log_scale, 0)."""
     rng = np.random.default_rng(seed)
-    if lo is None:
-        return tuple(rng.standard_normal(shape) * 10.0**log_scale for _ in range(2))
-    return tuple(rng.uniform(0, 1, shape) * 10.0**min(log_scale, 0) for _ in range(2))
+    if unit01:
+        return tuple(rng.uniform(0, 1, shape) * 10.0**min(log_scale, 0) for _ in range(2))
+    return tuple(rng.standard_normal(shape) * 10.0**log_scale for _ in range(2))
 
 
 SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 70), st.integers(1, 70))
@@ -439,7 +439,7 @@ class TestBitIdentity:
     @settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
     @given(shape=SHAPES, log_scale=LOG_SCALES, seed=SEEDS)
     def test_pointwise_errors(self, shape, log_scale, seed):
-        p, g = drawn_pair(shape, log_scale, seed, lo=0.0)
+        p, g = drawn_pair(shape, log_scale, seed, unit01=True)
         if (g * g).sum() > 0:
             assert same_bits(nmse(p, g), float(((p - g) ** 2).sum()) / float((g * g).sum()))
         mse = float(((p - g) ** 2).mean())
