@@ -348,8 +348,8 @@ def normalize_db(
     _check("finite", lo=lo, hi=hi)
     if lo == hi:
         raise ValidationError("degenerate normalization range: lo == hi")
-    if fld.unit != UNIT_DB:
-        raise ValidationError("normalize_db expects a dB field")
+    if not isinstance(fld, RadioField) or fld.unit != UNIT_DB:
+        raise ValidationError("normalize_db expects a RadioField in dB")
     v = fld.values - hi  # divided and clipped in place: np.clip((values - hi) / (lo - hi), 0, 1)
     return RadioField(np.clip(np.divide(v, lo - hi, out=v), 0.0, 1.0, out=v), UNIT_NORM01, fld.resolution)
 
@@ -361,8 +361,8 @@ def denormalize_db(
     _check("finite", lo=lo, hi=hi)
     if lo == hi:
         raise ValidationError("degenerate normalization range: lo == hi")
-    if fld.unit != UNIT_NORM01:
-        raise ValidationError("denormalize_db expects a normalized field")
+    if not isinstance(fld, RadioField) or fld.unit != UNIT_NORM01:
+        raise ValidationError("denormalize_db expects a RadioField in normalized units")
     v = hi + fld.values * (lo - hi)
     return RadioField(v, UNIT_DB, fld.resolution)
 

@@ -25,6 +25,8 @@ def _values(fld, expect_unit: str | None = None, what: str = "field") -> np.ndar
             raise ValidationError(f"{what} must be in {expect_unit}, got {fld.unit}")
         return np.asarray(fld.values, order="C")
     v = np.asarray(fld, dtype=np.float64, order="C")
+    if v.ndim not in (2, 3):
+        raise ValidationError(f"{what} must be a 2-D or 3-D field, got shape {v.shape}")
     if not np.isfinite(v).all():  # a RadioField is NaN-free by construction; a bare array is not
         raise ValidationError(f"{what} contains NaN or infinite values")
     return v[np.newaxis] if v.ndim == 2 else v

@@ -438,18 +438,12 @@ def alternative_order(n_side: int) -> OrderPi:
 def hilbert_order(n_side: int) -> OrderPi:
     """Hilbert space-filling curve visit order."""
     n_side = _side(n_side, "hilbert")
-    t = np.arange(n_side * n_side, dtype=np.int64)
-    x, y = np.zeros((2, t.size), dtype=np.int64)
+    # the curve of side 2s is four copies of the side-s curve: transposed, shifted by s in y,
+    # shifted by s in x and y, and reflected in the anti-diagonal into the last quadrant
+    x = y = np.zeros(1, np.int64)
     s = 1
     while s < n_side:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        flip = (ry == 0) & (rx == 1)
-        x, y = np.where(flip, s - 1 - x, x), np.where(flip, s - 1 - y, y)
-        x, y = np.where(ry == 0, y, x), np.where(ry == 0, x, y)
-        x += s * rx
-        y += s * ry
-        t //= 4
+        x, y = np.concatenate((y, x, x + s, 2 * s - 1 - y)), np.concatenate((x, y + s, y + s, s - 1 - x))
         s *= 2
     return OrderPi(y * n_side + x, "hilbert")
 
@@ -457,13 +451,11 @@ def hilbert_order(n_side: int) -> OrderPi:
 def zcurve_order(n_side: int) -> OrderPi:
     """Morton (Z-curve) visit order."""
     n_side = _side(n_side, "zcurve")
-    bits = max(1, n_side.bit_length() - 1)
-    d = np.arange(n_side * n_side, dtype=np.int64)
-    x = np.zeros_like(d)
-    y = np.zeros_like(d)
-    for b in range(bits):
-        x |= ((d >> (2 * b)) & 1) << b
-        y |= ((d >> (2 * b + 1)) & 1) << b
+    x = y = np.zeros(1, np.int64)  # the curve of side 2s is the side-s curve in each quadrant, row by row
+    s = 1
+    while s < n_side:
+        x, y = np.concatenate((x, x + s, x, x + s)), np.concatenate((y, y, y + s, y + s))
+        s *= 2
     return OrderPi(y * n_side + x, "zcurve")
 
 
@@ -474,9 +466,10 @@ def subsample_order(n_side: int) -> OrderPi:
     while strides[-1] > 1:
         strides.append(strides[-1] // 2)
     r, c = np.divmod(np.arange(n_side * n_side), n_side)
-    # a patch is visited in the first pass whose stride divides both r and c
+    # a patch is visited in the first pass whose stride divides both r and c;
+    # a stable sort keeps each pass in row-major (r, c) order
     first = np.argmax([(r % s == 0) & (c % s == 0) for s in strides], axis=0)
-    return OrderPi(np.lexsort((c, r, first)), "subsample")
+    return OrderPi(np.argsort(first, kind="stable"), "subsample")
 
 
 GEOMETRIC_ORDERS = {

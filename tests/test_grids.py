@@ -443,6 +443,21 @@ class TestNormalization:
         with pytest.raises(ValidationError, match="degenerate"):
             normalize_db(fld, lo=-100.0, hi=-100.0)
 
+    @pytest.mark.parametrize(
+        "convert, values",
+        [(normalize_db, np.full((2, 3, 3), -100.0)), (denormalize_db, np.full((2, 3, 3), 0.5))],
+        ids=["normalize_db", "denormalize_db"],
+    )
+    def test_a_bare_array_is_refused_by_name(self, convert, values):
+        with pytest.raises(ValidationError, match=f"^{convert.__name__} expects a RadioField in "):
+            convert(values)
+
+    def test_a_field_in_the_other_unit_is_refused_by_name(self):
+        with pytest.raises(ValidationError, match="^normalize_db expects a RadioField in dB$"):
+            normalize_db(RadioField(np.full((1, 2, 2), 0.5), UNIT_NORM01))
+        with pytest.raises(ValidationError, match="^denormalize_db expects a RadioField in normalized units$"):
+            denormalize_db(RadioField(np.full((1, 2, 2), -100.0), UNIT_DB))
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

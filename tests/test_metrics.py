@@ -184,6 +184,13 @@ class TestMetricReport:
         assert math.isfinite(rep.psnr)
         assert rep.ssim < 1.0
 
+    def test_bare_arrays_are_refused_by_name(self):
+        from radiofront import metric_report
+
+        gt = np.full((1, 16, 16), -100.0)
+        with pytest.raises(ValidationError, match="^normalize_db expects a RadioField in dB$"):
+            metric_report(gt, gt, lo=-47.0, hi=-169.0)
+
 
 class TestGrad3dLoss:
     def test_identical_is_zero(self):
@@ -343,6 +350,17 @@ def test_a_bare_array_with_nan_or_inf_is_refused_by_name(metric, bad, side):
     with pytest.raises(ValidationError) as err:
         metric(args["pred"], args["gt"])
     assert str(err.value) == f"{side} contains NaN or infinite values"
+
+
+@pytest.mark.parametrize("metric", FIELD_METRICS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(), (12,), (1, 2, 12, 12)], ids=["0d", "1d", "4d"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_a_bare_array_not_2d_or_3d_is_refused_by_name(metric, shape, side):
+    good = np.random.default_rng(0).uniform(0.1, 0.9, size=(2, 12, 12))
+    args = {"pred": good, "gt": good, side: np.full(shape, 0.5)}
+    with pytest.raises(ValidationError) as err:
+        metric(args["pred"], args["gt"])
+    assert str(err.value) == f"{side} must be a 2-D or 3-D field, got shape {shape}"
 
 
 def test_a_2d_bare_array_with_nan_is_refused():

@@ -588,6 +588,18 @@ def hilbert_oracle(n_side):
     return perm
 
 
+def zcurve_oracle(n_side):
+    """Morton visit order, one curve index at a time: x from the even bits, y from the odd bits."""
+    perm = np.empty(n_side * n_side, dtype=np.int64)
+    for d in range(n_side * n_side):
+        x = y = 0
+        for b in range(n_side.bit_length()):  # d < n_side ** 2, so no bit is missed
+            x |= ((d >> (2 * b)) & 1) << b
+            y |= ((d >> (2 * b + 1)) & 1) << b
+        perm[d] = y * n_side + x
+    return perm
+
+
 def subsample_oracle(n_side):
     """Strided passes n/2, n/4, ... 1 over the grid, skipping patches already visited."""
     seen = np.zeros(n_side * n_side, dtype=bool)
@@ -631,9 +643,13 @@ class TestGeometricOrders:
             [0, 2, 8, 10, 1, 3, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15],
         )
 
-    @pytest.mark.parametrize("n_side", [1, 2, 4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("n_side", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_hilbert_matches_oracle(self, n_side):
         assert np.array_equal(hilbert_order(n_side).perm, hilbert_oracle(n_side))
+
+    @pytest.mark.parametrize("n_side", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    def test_zcurve_matches_oracle(self, n_side):
+        assert np.array_equal(zcurve_order(n_side).perm, zcurve_oracle(n_side))
 
     def test_subsample_matches_oracle(self):
         for n_side in range(1, 70):
